@@ -11,7 +11,6 @@ from .coriolis import (
     kf_inverse,
     linear_coriolis,
     make_coriolis_field,
-    make_coriolis_step,
     step_coriolis,
 )
 from .diagnostics import (

@@ -13,6 +13,7 @@ import json
 import shlex
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,9 @@ from .coriolis import (
     coriolis_transport_data,
     linear_coriolis,
     make_coriolis_field,
-    make_coriolis_step,
 )
 from .grid import GridSpec, ScalarField
-from .stepper import SchemeConfig, compute_constants, init_state, run
+from .stepper import SchemeConfig, compute_constants, init_state, run, transport_data
 
 __all__ = ["UsageError", "RunConfig", "parse_config", "run_experiment", "main"]
 
@@ -227,8 +227,9 @@ def parse_config(argv, config_file=None) -> RunConfig:
                 dims = (16, 16, 16)
         except ValueError:
             violations.append(f"grid: cannot parse {text!r}")
-    if any(n < 4 for n in dims):
-        violations.append(f"grid: dims must be >= 4 per axis, got {dims}")
+    if any(n < 5 for n in dims):
+        # the W^{3,p} norm behind the scheme constants needs 5 cells per axis
+        violations.append(f"grid: dims must be >= 5 per axis, got {dims}")
 
     extents = (1.0, 1.0, 1.0)
     if "extent" in kv:
@@ -403,13 +404,14 @@ def write_structured_points(path, state, u_values, step, spec) -> None:
         "SCALARS P double",
         "LOOKUP_TABLE default",
     ]
-    lines.extend(repr(v) for v in flat(state.p.values))
+    # .tolist() yields Python floats, whose repr is the bare shortest round-trip
+    lines.extend(repr(v) for v in flat(state.p.values).tolist())
     lines.append("VECTORS gradP double")
     g = state.grad_p.values
-    comps = [flat(g[..., a]) for a in range(3)]
+    comps = [flat(g[..., a]).tolist() for a in range(3)]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
     lines.append("VECTORS u double")
-    comps = [flat(u_values[..., a]) for a in range(3)]
+    comps = [flat(u_values[..., a]).tolist() for a in range(3)]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -449,31 +451,29 @@ def run_experiment(cfg: RunConfig) -> int:
         record_every=cfg.log_every,
     )
     field = _build_coriolis(cfg, spec)
-    if field is None:
-        result = run(state, scheme, constants=constants)
-    else:
-        result = run(
-            state, scheme, constants=constants,
-            step_fn=make_coriolis_step(field),
-            data_fn=lambda st: coriolis_transport_data(st, field),
-        )
+    # passed even when it is run()'s default: a default argument is bound once,
+    # when run is defined, so a profiler that rebinds transport_data would miss it
+    model = transport_data if field is None else partial(coriolis_transport_data, c=field)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+
+    def write_snapshot(j, st, sol):
+        if j > 0 and j % cfg.snap_every == 0:
+            u = sol.u.values if sol is not None else np.zeros(spec.dims + (3,))
+            write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j, spec)
+
+    result = run(state, scheme, constants=constants, model=model,
+                 observe=write_snapshot if cfg.emit_fields else None)
     if cfg.emit_csv:
         write_series_csv(out / "series.csv", result.records)
-    if cfg.emit_fields:
-        zero_u = np.zeros(spec.dims + (3,))
-        for j in range(cfg.snap_every, len(result.states), cfg.snap_every):
-            u = result.solutions[j].u.values if j < len(result.solutions) else zero_u
-            write_structured_points(out / f"fields_{j:04d}.vtk", result.states[j], u, j, spec)
 
     meta = {
         "config": cfg.key_values(),
         "constants": asdict(result.constants),
         "epsilon": result.epsilon,
         "n_steps_requested": result.n_steps,
-        "steps_completed": len(result.states) - 1,
+        "steps_completed": result.steps_completed,
         "halt_reason": result.halt_reason,
     }
     (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

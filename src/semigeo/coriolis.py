@@ -18,10 +18,11 @@ scheme with the rotation rate scaled by f.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .divcurl import DarcySolution, DivCurlData, reduce_to_darcy, solve_darcy
+from .divcurl import DarcySolution, DivCurlData, EllipticityError
 from .grid import (
     GridSpec,
     ScalarField,
@@ -30,7 +31,7 @@ from .grid import (
     eigmin_symmetric,
     gradient,
 )
-from .stepper import GeopotentialState, _build_state, apply_rotation
+from .stepper import GeopotentialState, apply_rotation, step
 
 __all__ = [
     "PerturbationError",
@@ -41,16 +42,12 @@ __all__ = [
     "assemble_coriolis_coefficient",
     "coriolis_transport_data",
     "step_coriolis",
-    "make_coriolis_step",
 ]
 
 
-class PerturbationError(ValueError):
-    """Rotation-gradient term not dominated by the convex Hessian."""
-
-    def __init__(self, message, cell=None):
-        super().__init__(message)
-        self.cell = cell
+class PerturbationError(EllipticityError):
+    """Rotation-gradient term not dominated by the convex Hessian: the
+    perturbed coefficient is no longer uniformly elliptic."""
 
 
 @dataclass(frozen=True)
@@ -154,28 +151,6 @@ def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlDa
 
 def step_coriolis(s: GeopotentialState, c: CoriolisField, epsilon: float,
                   tol: float = 1e-10, maxiter: int | None = None
-                  ) -> tuple[GeopotentialState, DarcySolution]:
-    """One forward Euler step of the variable-rotation scheme: same potential
-    update P <- P - eps q through the (generally non-symmetric) reduction."""
-    from .stepper import ConvexityError
-
-    if s.lambda_min <= 0.0:
-        raise ConvexityError(
-            f"cannot step: Hessian eigenvalue {s.lambda_min:.6e} at cell "
-            f"{s.lambda_argmin} is not positive",
-            cell=s.lambda_argmin,
-            eigenvalue=s.lambda_min,
-        )
-    sol = solve_darcy(reduce_to_darcy(coriolis_transport_data(s, c)), tol=tol, maxiter=maxiter)
-    new_state = _build_state(s.p.values - epsilon * sol.q.values, s.spec,
-                             s.time + epsilon, lambda0=s.lambda0)
-    return new_state, sol
-
-
-def make_coriolis_step(c: CoriolisField):
-    """Adapter with the base stepper's signature, for stepper.run(step_fn=...)."""
-
-    def step_fn(state, epsilon, tol, maxiter):
-        return step_coriolis(state, c, epsilon, tol=tol, maxiter=maxiter)
-
-    return step_fn
+                  ) -> tuple[GeopotentialState, DarcySolution, DivCurlData]:
+    """One forward Euler step of the variable-rotation scheme (see stepper.step)."""
+    return step(s, epsilon, partial(coriolis_transport_data, c=c), tol, maxiter)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import curl, gradient, lp_norm, sobolev_norm
+from .grid import curl, lp_norm, sobolev_norm
 
 __all__ = [
     "DiagnosticsRecord",
@@ -144,7 +144,7 @@ def support_bound_check(states) -> list[SupportCheck]:
 def curl_residual(s) -> float:
     """Max magnitude of curl(grad P) over cells two layers in from each face;
     zero to rounding because the transported field is a stored gradient."""
-    c = curl(gradient(s.p)).values
+    c = curl(s.grad_p).values
     interior = c[2:-2, 2:-2, 2:-2]
     if interior.size == 0:
         return 0.0

@@ -239,13 +239,18 @@ def transport_data(s: GeopotentialState) -> DivCurlData:
     return DivCurlData(a=s.hess, f=VectorField(s.spec, f))
 
 
-def step(s: GeopotentialState, epsilon: float, tol: float = 1e-10,
-         maxiter: int | None = None) -> tuple[GeopotentialState, DarcySolution]:
+def step(s: GeopotentialState, epsilon: float, model=transport_data, tol: float = 1e-10,
+         maxiter: int | None = None
+         ) -> tuple[GeopotentialState, DarcySolution, DivCurlData]:
     """One forward Euler step: solve for q, update P <- P - eps q.
 
-    The new transported field is grad(P - eps q), a discrete gradient by
-    construction.  Raises ConvexityError or SolverConvergenceError with the
-    state unchanged when the step cannot be taken.
+    The model maps the state to its div-curl data (transport_data, or a
+    variable-rotation closure such as partial(coriolis_transport_data, c=c));
+    it is called once, after the convexity check, and its data is returned
+    with the solution so the caller can reuse it.  The new transported field
+    is grad(P - eps q), a discrete gradient by construction.  Raises
+    ConvexityError, EllipticityError or SolverConvergenceError with the state
+    unchanged when the step cannot be taken.
     """
     if s.lambda_min <= 0.0:
         raise ConvexityError(
@@ -254,10 +259,11 @@ def step(s: GeopotentialState, epsilon: float, tol: float = 1e-10,
             cell=s.lambda_argmin,
             eigenvalue=s.lambda_min,
         )
-    sol = solve_darcy(reduce_to_darcy(transport_data(s)), tol=tol, maxiter=maxiter)
+    data = model(s)
+    sol = solve_darcy(reduce_to_darcy(data), tol=tol, maxiter=maxiter)
     new_vals = s.p.values - epsilon * sol.q.values
     new_state = _build_state(new_vals, s.spec, s.time + epsilon, lambda0=s.lambda0)
-    return new_state, sol
+    return new_state, sol, data
 
 
 @dataclass(frozen=True)
@@ -298,9 +304,9 @@ class SchemeConfig:
 
 @dataclass
 class RunResult:
-    states: list
+    final_state: GeopotentialState
+    steps_completed: int
     records: list
-    solutions: list
     halt_reason: str
     constants: SchemeConstants
     epsilon: float
@@ -319,55 +325,53 @@ def _resolve_schedule(config: SchemeConfig, constants: SchemeConstants):
 
 
 def run(s0: GeopotentialState, config: SchemeConfig,
-        constants: SchemeConstants | None = None, step_fn=None,
-        data_fn=None) -> RunResult:
+        constants: SchemeConstants | None = None, model=transport_data,
+        observe=None) -> RunResult:
     """Execute the scheme, emitting one DiagnosticsRecord per cadence tick.
 
     Early halts (convexity floor, solver failure, lost ellipticity) are
-    structured outcomes recorded in halt_reason, not exceptions.  step_fn and
-    data_fn default to the base scheme; variants (variable rotation) supply
-    their own step and matching div-curl data for the estimate ratios.
+    structured outcomes recorded in halt_reason, not exceptions.  The model
+    (see step) is assembled once per step and its data reused for the
+    estimate ratios.  Only the current state is kept: observe(j, state, sol)
+    is called once for every state reached, with the solve taken from that
+    state, or None when no solve followed it.
     """
     from .diagnostics import emit_record
 
     if constants is None:
         constants = compute_constants(s0)
     epsilon, n_steps = _resolve_schedule(config, constants)
-    if step_fn is None:
-        step_fn = step
-    if data_fn is None:
-        data_fn = transport_data
 
-    states = [s0]
-    solutions = []
     records = [emit_record(s0, None, constants, step=0)]
     halt_reason = "completed"
-    state = s0
-    for j in range(1, n_steps + 1):
+    state, j = s0, 0
+    while j < n_steps:
         try:
-            new_state, sol = step_fn(state, epsilon, config.tol, config.maxiter)
+            new_state, sol, data = step(state, epsilon, model, config.tol, config.maxiter)
         except (ConvexityError, EllipticityError) as err:
-            halt_reason = f"convexity lost at step {j}: {err}"
+            halt_reason = f"convexity lost at step {j + 1}: {err}"
             break
         except SolverConvergenceError as err:
-            halt_reason = f"solver failed at step {j}: {err}"
+            halt_reason = f"solver failed at step {j + 1}: {err}"
             break
-        ratios = verify_estimate(sol.u, data_fn(state), constants.p)
+        ratios = verify_estimate(sol.u, data, constants.p)
         sol.est_ratio_u = ratios.u_ratio
         sol.est_ratio_au = ratios.au_ratio
-        states.append(new_state)
-        solutions.append(sol)
+        if observe is not None:
+            observe(j, state, sol)
+        state, j = new_state, j + 1
         if j % config.record_every == 0 or j == n_steps:
-            records.append(emit_record(new_state, sol, constants, step=j))
-        state = new_state
+            records.append(emit_record(state, sol, constants, step=j))
         if config.convexity_floor and state.lambda_min < config.floor_fraction * state.lambda0:
             halt_reason = (
                 f"convexity floor reached at step {j}: lambda_min "
                 f"{state.lambda_min:.6e} < {config.floor_fraction} * lambda0"
             )
             break
+    if observe is not None:
+        observe(j, state, None)
     return RunResult(
-        states=states, records=records, solutions=solutions,
+        final_state=state, steps_completed=j, records=records,
         halt_reason=halt_reason, constants=constants,
         epsilon=epsilon, n_steps=n_steps,
     )

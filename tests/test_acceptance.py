@@ -6,6 +6,8 @@ Criterion 5 pins drift targets the measured dynamics cannot meet (see the
 than weakened, as a falsifiable record of those measurements.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from semigeo.coriolis import (
     constant_coriolis,
     coriolis_transport_data,
     linear_coriolis,
-    make_coriolis_step,
 )
 from semigeo.diagnostics import (
     curl_residual,
@@ -51,7 +52,7 @@ def report(num, name, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def preset_runs():
+def preset_runs(run_states):
     cfg = SchemeConfig(epsilon=0.01, n_steps=30)
     runs = {}
     for name, kwargs in [
@@ -60,24 +61,23 @@ def preset_runs():
         ("quadratic", {"quad": (2.0, 1.0, 0.5)}),
         ("bump", {"delta": 0.005, "k": 1}),
     ]:
-        runs[name] = run(init_state(name, GRID16, **kwargs), cfg)
+        runs[name] = run_states(init_state(name, GRID16, **kwargs), cfg)[1]
     return runs
 
 
 @pytest.fixture(scope="module")
-def coriolis_run():
+def coriolis_run(run_states):
     c = linear_coriolis(GRID16, 0.05)
     s = init_state("bump", GRID16, delta=0.005, k=1)
-    return run(s, SchemeConfig(epsilon=0.01, n_steps=15),
-               step_fn=make_coriolis_step(c),
-               data_fn=lambda st: coriolis_transport_data(st, c))
+    return run_states(s, SchemeConfig(epsilon=0.01, n_steps=15),
+                      model=partial(coriolis_transport_data, c=c))[1]
 
 
-def test_criterion_1_fixed_point():
+def test_criterion_1_fixed_point(run_states):
     s = init_state("identity", GRID16)
-    res = run(s, SchemeConfig(epsilon=0.01, n_steps=100, record_every=100))
+    res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=100, record_every=100))
     x = GRID16.cell_centers()
-    dev = max(float(np.max(np.abs(st.grad_p.values - x))) for st in res.states)
+    dev = max(float(np.max(np.abs(st.grad_p.values - x))) for st in states)
     report(1, "fixed point", res.halt_reason == "completed" and dev <= 1e-8,
            f"max |grad P - x| = {dev:.3e}")
 
@@ -91,7 +91,7 @@ def test_criterion_2_inertial_oscillation():
         res = run(s, SchemeConfig(epsilon=eps, n_steps=int(round(t_final / eps)),
                                   record_every=1000))
         assert res.halt_reason == "completed"
-        return mean_tilt(res.states[-1])
+        return mean_tilt(res.final_state)
 
     got = final_tilt(0.01)
     want_h = np.linalg.matrix_power(np.eye(2) + 0.01 * J2, 100) @ a[:2]
@@ -190,8 +190,8 @@ def test_criterion_5_energy_drift():
         n = int(round(t_final / eps))
         res = run(s, SchemeConfig(epsilon=eps, n_steps=n, record_every=n,
                                   convexity_floor=False))
-        e0 = energy(res.states[0])
-        drifts[eps] = abs(energy(res.states[-1]) - e0)
+        e0 = energy(s)
+        drifts[eps] = abs(energy(res.final_state) - e0)
         halts[eps] = res.halt_reason
     completed = all(h == "completed" for h in halts.values())
     ratio = drifts[0.005] / drifts[0.0025]
@@ -202,11 +202,11 @@ def test_criterion_5_energy_drift():
            f"halts = {sorted(set(halts.values()))}")
 
 
-def test_criterion_6_convexity_propagation():
+def test_criterion_6_convexity_propagation(run_states):
     s = init_state("bump", GRID16, delta=0.005, k=1)
     constants = compute_constants(s, p=4.0, c_star=1.0, c_m=1.0)
-    res = run(s, SchemeConfig(n_steps=20, auto_horizon=True), constants=constants)
-    margins = [st.lambda_min - 0.5 * st.lambda0 for st in res.states]
+    res, states = run_states(s, SchemeConfig(n_steps=20, auto_horizon=True), constants=constants)
+    margins = [st.lambda_min - 0.5 * st.lambda0 for st in states]
     ok = res.halt_reason == "completed" and min(margins) >= 0.0
     report(6, "convexity propagation", ok,
            f"tau* = {constants.tau_star:.4f}, min margin = {min(margins):.4f}")
@@ -215,8 +215,8 @@ def test_criterion_6_convexity_propagation():
 def test_criterion_7_support_envelope(preset_runs):
     worst = np.inf
     ok = True
-    for name, res in preset_runs.items():
-        checks = support_bound_check(res.states)
+    for name, states in preset_runs.items():
+        checks = support_bound_check(states)
         ok = ok and all(c.passed for c in checks)
         worst = min(worst, min(c.margin for c in checks))
     report(7, "support envelope", ok, f"smallest margin {worst:.3e}")
@@ -224,11 +224,11 @@ def test_criterion_7_support_envelope(preset_runs):
 
 def test_criterion_8_measure_normalisation(preset_runs):
     mass_err = 0.0
-    for res in preset_runs.values():
-        for st in res.states:
+    for states in preset_runs.values():
+        for st in states:
             h = pushforward_histogram(st, bins=12)
             mass_err = max(mass_err, abs(h.total_mass - 1.0))
-    ident = preset_runs["identity"].states[0]
+    ident = preset_runs["identity"][0]
     h = pushforward_histogram(ident, bins=12)
     lo, hi = h.support_box
     half = GRID16.spacing[0] / 2.0
@@ -238,16 +238,15 @@ def test_criterion_8_measure_normalisation(preset_runs):
            f"max |mass - 1| = {mass_err:.2e}, identity box exact = {box_exact}")
 
 
-def test_criterion_9_coriolis_consistency():
+def test_criterion_9_coriolis_consistency(run_states):
     cfg = SchemeConfig(epsilon=0.01, n_steps=20, record_every=20)
     s = init_state("bump", GRID16, delta=0.005, k=1)
-    base = run(s, cfg)
+    _, base_states = run_states(s, cfg)
     unit = constant_coriolis(GRID16, 1.0)
-    cor = run(s, cfg, step_fn=make_coriolis_step(unit),
-              data_fn=lambda st: coriolis_transport_data(st, unit))
+    _, cor_states = run_states(s, cfg, model=partial(coriolis_transport_data, c=unit))
     gap = max(
         float(np.max(np.abs(b.p.values - o.p.values)))
-        for b, o in zip(base.states, cor.states)
+        for b, o in zip(base_states, cor_states)
     )
 
     f0, eps, n = 0.8, 0.01, 100
@@ -255,10 +254,9 @@ def test_criterion_9_coriolis_consistency():
     c8 = constant_coriolis(GRID16, f0)
     res = run(init_state("tilt", GRID16, tilt=a),
               SchemeConfig(epsilon=eps, n_steps=n, record_every=100),
-              step_fn=make_coriolis_step(c8),
-              data_fn=lambda st: coriolis_transport_data(st, c8))
+              model=partial(coriolis_transport_data, c=c8))
     want = np.linalg.matrix_power(np.eye(2) + eps * f0 * J2, n) @ a[:2]
-    got = mean_tilt(res.states[-1])
+    got = mean_tilt(res.final_state)
     tilt_err = float(np.max(np.abs(got[:2] - want)))
     ok = gap <= 1e-10 and tilt_err <= 1e-6
     report(9, "coriolis consistency", ok,
@@ -267,7 +265,7 @@ def test_criterion_9_coriolis_consistency():
 
 def test_criterion_10_conservativity(preset_runs, coriolis_run):
     worst = 0.0
-    for res in list(preset_runs.values()) + [coriolis_run]:
-        for st in res.states:
+    for states in list(preset_runs.values()) + [coriolis_run]:
+        for st in states:
             worst = max(worst, curl_residual(st))
     report(10, "conservativity", worst <= 1e-12, f"max interior curl {worst:.3e}")

@@ -4,6 +4,14 @@ import numpy as np
 import pytest
 
 from semigeo.cli import CSV_COLUMNS, UsageError, main, parse_config
+from semigeo.grid import GridSpec
+from semigeo.stepper import SchemeConfig, init_state, step
+
+
+def vtk_block(text, header, count):
+    """The count value lines after a section header, parsed as floats."""
+    start = text.index(header) + 1
+    return np.array([[float(v) for v in ln.split()] for ln in text[start:start + count]])
 
 
 class TestParseConfig:
@@ -126,6 +134,27 @@ class TestRunExperiment:
         h = 1.0 / 6.0
         origin_line = next(ln for ln in text if ln.startswith("ORIGIN"))
         assert np.allclose([float(v) for v in origin_line.split()[1:]], [h / 2] * 3)
+        # every value line parses as plain floats
+        for header, width in (("LOOKUP_TABLE default", 1), ("VECTORS gradP double", 3),
+                              ("VECTORS u double", 3)):
+            block = vtk_block(text, header, 6 ** 3)
+            assert block.shape == (6 ** 3, width)
+            assert np.all(np.isfinite(block))
+
+    def test_snapshot_u_is_solve_from_that_state(self, tmp_path, run_states):
+        out = run_dir(tmp_path, "upair",
+                      ["--grid", "6", "--preset", "tilt", "--tilt", "0.1,0,0",
+                       "--dt", "0.01", "--steps", "4",
+                       "--emit", "csv,fields", "--snap-every", "2"])
+        _, states = run_states(init_state("tilt", GridSpec(dims=(6, 6, 6)), tilt=(0.1, 0.0, 0.0)),
+                               SchemeConfig(epsilon=0.01, n_steps=4))
+        _, sol, _ = step(states[2], 0.01)
+        want = sol.u.values.transpose(2, 1, 0, 3).reshape(-1, 3)
+        text = (out / "fields_0002.vtk").read_text().splitlines()
+        assert np.max(np.abs(vtk_block(text, "VECTORS u double", 6 ** 3) - want)) <= 1e-14
+        assert np.max(np.abs(want)) > 0.0
+        text = (out / "fields_0004.vtk").read_text().splitlines()
+        assert np.all(vtk_block(text, "VECTORS u double", 6 ** 3) == 0.0)
 
     def test_metadata_round_trip(self, tmp_path):
         out = run_dir(tmp_path, "meta",
@@ -163,6 +192,20 @@ class TestRunExperiment:
         assert main(["--grid", "2", "--dt", "0.1"]) == 2
         err = capsys.readouterr().err
         assert "grid" in err
+        # the W^{3,p} norm of the scheme constants needs 5 cells per axis
+        assert main(["--grid", "4", "--dt", "0.1", "--steps", "1",
+                     "--out", str(tmp_path / "g4")]) == 2
+        assert "grid" in capsys.readouterr().err
+
+    def test_lost_coriolis_dominance_is_a_halt(self, tmp_path):
+        argv = ["--grid", "8", "--coriolis", "profile:5", "--dt", "0.01", "--steps", "3",
+                "--out", str(tmp_path / "h")]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "h" / "run.json").read_text())
+        assert meta["halt_reason"].startswith("convexity lost at step 1")
+        assert meta["steps_completed"] == 0
+        assert (tmp_path / "h" / "series.csv").exists()
+        assert main(argv + ["--strict"]) == 1
 
     def test_strict_flags_early_halt(self, tmp_path):
         # this quadratic run hits the convexity floor before tmax

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from semigeo.coriolis import (
     kf_inverse,
     linear_coriolis,
     make_coriolis_field,
-    make_coriolis_step,
     step_coriolis,
 )
 from semigeo.divcurl import apply_operator, reduce_to_darcy
@@ -113,8 +114,8 @@ class TestStepCoriolis:
     def test_unit_f_matches_base_step_exactly(self):
         spec = make_spec(8)
         s = init_state("bump", spec, delta=0.005, k=1)
-        base_new, base_sol = step(s, 0.01, tol=1e-11)
-        cor_new, cor_sol = step_coriolis(s, constant_coriolis(spec, 1.0), 0.01, tol=1e-11)
+        base_new, base_sol, _ = step(s, 0.01, tol=1e-11)
+        cor_new, cor_sol, _ = step_coriolis(s, constant_coriolis(spec, 1.0), 0.01, tol=1e-11)
         assert np.max(np.abs(cor_new.p.values - base_new.p.values)) < 1e-12
         assert np.max(np.abs(cor_sol.u.values - base_sol.u.values)) < 1e-12
 
@@ -127,7 +128,7 @@ class TestStepCoriolis:
         c = constant_coriolis(spec, f0)
         state = s
         for _ in range(n):
-            state, sol = step_coriolis(state, c, eps, tol=1e-12)
+            state, sol, _ = step_coriolis(state, c, eps, tol=1e-12)
         want = np.linalg.matrix_power(np.eye(2) + eps * f0 * J2, n) @ a[:2]
         got = mean_tilt(state)
         assert np.max(np.abs(got[:2] - want)) < 1e-6
@@ -138,7 +139,7 @@ class TestStepCoriolis:
         spec = make_spec(5)
         s = init_state("quadratic", spec, quad=(2.0, 1.0, 0.5))
         c = linear_coriolis(spec, 0.05)
-        new, sol = step_coriolis(s, c, 0.01, tol=1e-13)
+        new, sol, _ = step_coriolis(s, c, 0.01, tol=1e-13)
         p = reduce_to_darcy(coriolis_transport_data(s, c))
         assert not p.symmetric
         n = spec.n_cells
@@ -159,22 +160,21 @@ class TestStepCoriolis:
         s = init_state("bump", spec, delta=0.005, k=1)
         c = linear_coriolis(spec, 0.05)
         eps = 0.01
-        new, sol = step_coriolis(s, c, eps)
+        new, sol, _ = step_coriolis(s, c, eps)
         diff = new.p.values - s.p.values + eps * sol.q.values
         assert np.max(diff) - np.min(diff) < 1e-12
 
 
 class TestCoriolisRun:
-    def test_unit_f_trajectory_matches_base(self):
+    def test_unit_f_trajectory_matches_base(self, run_states):
         spec = make_spec(8)
         cfg = SchemeConfig(epsilon=0.01, n_steps=15)
         s = init_state("bump", spec, delta=0.005, k=1)
-        base = run(s, cfg)
+        _, base_states = run_states(s, cfg)
         c = constant_coriolis(spec, 1.0)
-        cor = run(s, cfg, step_fn=make_coriolis_step(c),
-                  data_fn=lambda st: coriolis_transport_data(st, c))
-        assert len(base.states) == len(cor.states)
-        for b, o in zip(base.states, cor.states):
+        _, cor_states = run_states(s, cfg, model=partial(coriolis_transport_data, c=c))
+        assert len(base_states) == len(cor_states)
+        for b, o in zip(base_states, cor_states):
             assert np.max(np.abs(b.p.values - o.p.values)) < 1e-10
 
     def test_delta_continuity(self):
@@ -186,9 +186,8 @@ class TestCoriolisRun:
         gaps = []
         for delta in (0.08, 0.04):
             c = linear_coriolis(spec, delta)
-            r = run(s, cfg, step_fn=make_coriolis_step(c),
-                    data_fn=lambda st, c=c: coriolis_transport_data(st, c))
-            gaps.append(np.max(np.abs(r.states[-1].p.values - base.states[-1].p.values)))
+            r = run(s, cfg, model=partial(coriolis_transport_data, c=c))
+            gaps.append(np.max(np.abs(r.final_state.p.values - base.final_state.p.values)))
         assert gaps[0] / gaps[1] == pytest.approx(2.0, rel=0.15)
 
     def test_symmetric_part_stays_definite(self):
@@ -198,4 +197,4 @@ class TestCoriolisRun:
         state = s
         for _ in range(10):
             a = assemble_coriolis_coefficient(state, c)  # raises if indefinite
-            state, _ = step_coriolis(state, c, 0.01)
+            state, _, _ = step_coriolis(state, c, 0.01)

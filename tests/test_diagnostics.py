@@ -10,7 +10,7 @@ from semigeo.diagnostics import (
     support_bound_check,
 )
 from semigeo.grid import GridSpec, ScalarField
-from semigeo.stepper import SchemeConfig, compute_constants, init_state, run
+from semigeo.stepper import SchemeConfig, compute_constants, init_state
 
 
 def make_spec(n):
@@ -26,17 +26,17 @@ class TestEnergy:
         e = energy(s)
         assert abs(e - (-1.0 / 3.0)) < 0.01 * (1.0 / 3.0)
 
-    def test_tilt_drift_closed_form(self):
+    def test_tilt_drift_closed_form(self, run_states):
         # oracle: the x-integral terms cancel in differences, so
         # E_j - E_0 = (|a_h(j)|^2 - |a_h(0)|^2)/2 with |a_h|^2 growing by
         # (1 + eps^2) per forward Euler step
         eps, n = 0.02, 25
         a = np.array([0.12, -0.05, 0.03])
         s = init_state("tilt", make_spec(8), tilt=a)
-        res = run(s, SchemeConfig(epsilon=eps, n_steps=n))
+        _, states = run_states(s, SchemeConfig(epsilon=eps, n_steps=n))
         ah0 = a[0] ** 2 + a[1] ** 2
-        e0 = energy(res.states[0])
-        for j, st in enumerate(res.states):
+        e0 = energy(states[0])
+        for j, st in enumerate(states):
             drift = energy(st) - e0
             want = 0.5 * ah0 * ((1.0 + eps**2) ** j - 1.0)
             assert abs(drift - want) < 1e-8
@@ -86,17 +86,17 @@ class TestPushforwardHistogram:
 
 
 class TestSupportBound:
-    def test_identity_passes(self):
+    def test_identity_passes(self, run_states):
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10))
-        checks = support_bound_check(res.states)
+        _, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10))
+        checks = support_bound_check(states)
         assert all(c.passed for c in checks)
         assert checks[-1].margin > 0.0
 
-    def test_tilt_growth_below_envelope(self):
+    def test_tilt_growth_below_envelope(self, run_states):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=30))
-        assert all(c.passed for c in support_bound_check(res.states))
+        _, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=30))
+        assert all(c.passed for c in support_bound_check(states))
 
     def test_doctored_trajectory_fails(self):
         # negative control: scaling grad P by e^{2t} outruns the e^t envelope
@@ -167,7 +167,7 @@ class TestEmitRecord:
 
         s = init_state("quadratic", make_spec(8), quad=(2.0, 1.0, 0.5))
         c = compute_constants(s)
-        new, sol = step(s, 0.01)
+        new, sol, _ = step(s, 0.01)
         ratios = verify_estimate(sol.u, transport_data(s), c.p)
         sol.est_ratio_u = ratios.u_ratio
         sol.est_ratio_au = ratios.au_ratio

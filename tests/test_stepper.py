@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -92,7 +95,7 @@ class TestStep:
     def test_identity_fixed_point(self):
         spec = make_spec(8)
         s = init_state("identity", spec)
-        new, sol = step(s, 0.01, tol=1e-10)
+        new, sol, _ = step(s, 0.01, tol=1e-10)
         x = spec.cell_centers()
         assert np.max(np.abs(new.grad_p.values - x)) < 1e-9
         assert sol.iterations <= 1
@@ -102,7 +105,7 @@ class TestStep:
         eps = 0.01
         a = np.array([0.1, 0.0, 0.05])
         s = init_state("tilt", make_spec(8), tilt=a)
-        new, sol = step(s, eps, tol=1e-12)
+        new, sol, _ = step(s, eps, tol=1e-12)
         want_h = (np.eye(2) + eps * J2) @ a[:2]
         got = mean_tilt(new)
         assert np.max(np.abs(got[:2] - want_h)) < 1e-11
@@ -113,7 +116,7 @@ class TestStep:
         # oracle: dense factorisation of the same assembled system
         spec = make_spec(5)
         s = init_state("quadratic", spec, quad=(2.0, 1.0, 0.5))
-        new, sol = step(s, 0.01, tol=1e-13)
+        new, sol, _ = step(s, 0.01, tol=1e-13)
         p = reduce_to_darcy(transport_data(s))
         n = spec.n_cells
         mat = np.empty((n, n))
@@ -139,18 +142,18 @@ class TestStep:
         # P_{j+1} - P_j + eps q_j must be a constant field (the mean shift)
         eps = 0.02
         s = init_state("quadratic", make_spec(8), quad=(2.0, 1.0, 0.5))
-        new, sol = step(s, eps)
+        new, sol, _ = step(s, eps)
         diff = new.p.values - s.p.values + eps * sol.q.values
         assert np.max(diff) - np.min(diff) < 1e-12
 
 
 class TestRun:
-    def test_identity_trajectory_constant(self):
+    def test_identity_trajectory_constant(self, run_states):
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20))
+        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=20))
         assert res.halt_reason == "completed"
-        assert len(res.states) == 21
-        for st in res.states:
+        assert len(states) == 21
+        for st in states:
             assert st.lambda_min == pytest.approx(1.0, abs=1e-9)
 
     def test_tilt_matrix_power(self):
@@ -160,14 +163,14 @@ class TestRun:
         s = init_state("tilt", make_spec(8), tilt=a)
         res = run(s, SchemeConfig(epsilon=eps, n_steps=n))
         want = np.linalg.matrix_power(np.eye(2) + eps * J2, n) @ a[:2]
-        got = mean_tilt(res.states[-1])
+        got = mean_tilt(res.final_state)
         assert np.max(np.abs(got[:2] - want)) < 1e-6
         assert abs(got[2] - a[2]) < 1e-8
 
-    def test_conservativity_every_step(self):
+    def test_conservativity_every_step(self, run_states):
         s = init_state("bump", make_spec(8), delta=0.005, k=1)
-        res = run(s, SchemeConfig(epsilon=0.005, n_steps=10))
-        for st in res.states:
+        _, states = run_states(s, SchemeConfig(epsilon=0.005, n_steps=10))
+        for st in states:
             c = curl(gradient(st.p)).values[2:-2, 2:-2, 2:-2]
             assert np.max(np.abs(c)) < 1e-12
 
@@ -179,18 +182,48 @@ class TestRun:
         for eps in (0.02, 0.01):
             s = init_state("tilt", make_spec(6), tilt=a)
             res = run(s, SchemeConfig(epsilon=eps, n_steps=int(round(t_final / eps))))
-            got = mean_tilt(res.states[-1])[:2]
+            got = mean_tilt(res.final_state)[:2]
             ang = t_final
             exact = np.array([np.cos(ang), np.sin(ang)]) * a[0]
             devs.append(np.linalg.norm(got - exact))
         assert 1.7 <= devs[0] / devs[1] <= 2.3
 
-    def test_auto_horizon_runs_to_tau_star(self):
+    def test_auto_horizon_runs_to_tau_star(self, run_states):
         s = init_state("bump", make_spec(8), delta=0.005, k=1)
         c = compute_constants(s)
-        res = run(s, SchemeConfig(n_steps=10, auto_horizon=True), constants=c)
-        assert res.states[-1].time == pytest.approx(c.tau_star, rel=1e-9)
-        assert all(st.lambda_min >= 0.5 * st.lambda0 for st in res.states)
+        res, states = run_states(s, SchemeConfig(n_steps=10, auto_horizon=True), constants=c)
+        assert res.final_state.time == pytest.approx(c.tau_star, rel=1e-9)
+        assert all(st.lambda_min >= 0.5 * st.lambda0 for st in states)
+
+    def test_model_assembled_once_per_step(self):
+        s = init_state("bump", make_spec(6), delta=0.005, k=1)
+        calls = []
+
+        def model(st):
+            calls.append(st.time)
+            return transport_data(st)
+
+        seen = []
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=5), model=model,
+                  observe=lambda j, st, sol: seen.append((j, st.time, sol is None)))
+        assert res.steps_completed == 5 and len(calls) == 5
+        assert [j for j, _, _ in seen] == [0, 1, 2, 3, 4, 5]
+        assert [t for _, t, _ in seen[:-1]] == calls
+        assert [none for _, _, none in seen] == [False] * 5 + [True]
+        assert all(r.est_ratio_u is not None for r in res.records[1:])
+
+    def test_memory_bounded_in_steps(self):
+        # the observer keeps weak references only; run() must hold no more
+        # than the final state once it returns
+        s = init_state("bump", make_spec(8), delta=0.005, k=1)
+        refs = []
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20),
+                  observe=lambda j, st, sol: refs.append(weakref.ref(st)))
+        del s
+        gc.collect()
+        assert res.steps_completed == 20 and len(refs) == 21
+        assert all(r() is None for r in refs[:-1])
+        assert refs[-1]() is res.final_state
 
     def test_records_cadence(self):
         s = init_state("identity", make_spec(8))
@@ -201,23 +234,22 @@ class TestRun:
 
 
 class TestGrowthBound:
-    def test_identity_passes(self):
+    def test_identity_passes(self, run_states):
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10))
-        checks = growth_bound_check(res.states, res.constants)
+        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10))
+        checks = growth_bound_check(states, res.constants)
         assert all(c.passed for c in checks)
 
-    def test_tilt_passes(self):
+    def test_tilt_passes(self, run_states):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20))
-        checks = growth_bound_check(res.states, res.constants)
+        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=20))
+        checks = growth_bound_check(states, res.constants)
         assert all(c.passed for c in checks)
 
-    def test_doctored_norms_fail(self):
+    def test_doctored_norms_fail(self, run_states):
         # negative control: doubling the potential mid-trajectory breaks the bound
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=6))
-        states = list(res.states)
+        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=6))
         doctored = init_state(ScalarField(states[3].spec, 2.0 * states[3].p.values))
         states[3] = doctored
         checks = growth_bound_check(states, res.constants)
