@@ -172,7 +172,7 @@ def emit_record(s, solution, constants, step: int = 0) -> DiagnosticsRecord:
         norm_l2=lp_norm(s.grad_p, 2),
         norm_lp=lp_norm(s.grad_p, constants.p),
         norm_linf=lp_norm(s.grad_p, np.inf),
-        norm_w3p=sobolev_norm(s.p, 3, constants.p),
+        norm_w3p=sobolev_norm(s.p, 3, constants.p, hess=s.hess),
         lambda_min=s.lambda_min,
         lambda_argmin=s.lambda_argmin,
         curl_residual=curl_residual(s),

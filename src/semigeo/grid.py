@@ -293,40 +293,54 @@ def lp_norm(field, p) -> float:
     return float(np.sum(mag**p * vol) ** (1.0 / p))
 
 
-def _derivative_stack(values: np.ndarray, spec: GridSpec, order: int) -> np.ndarray:
-    """All finite-difference derivatives of the given order, stacked on
-    trailing axes (one axis of length 3 per derivative applied).
+def _third_derivative_magnitude(hess: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Per-cell magnitude over all 27 third derivatives: inward-shifted
+    centred differences of the Hessian entries.
 
-    Orders 1 and 2 reuse the gradient/hessian stencils; order 3 applies
-    inward-shifted centered differences to the hessian entries.
+    Built in slabs of rows along axis 0, so the full 27-component stack never
+    exists at once; each cell sums the same components in the same order as a
+    whole-grid stack would.
     """
     h = spec.spacing
-    if order == 1:
-        return gradient_values(values, spec)
-    sf = ScalarField(spec, values)
-    hess = hessian(sf).values
-    if order == 2:
-        return hess
-    if order == 3:
-        return np.stack([diff_shifted(hess, a, h[a]) for a in range(3)], axis=-3)
-    raise ValueError(f"unsupported derivative order {order}")
+    n0 = spec.dims[0]
+    rows = 8  # a slab's stack then holds 4 MB at 48^2 cells per row
+    mag = np.empty(spec.dims)
+    for i0 in range(0, n0, rows):
+        i1 = min(i0 + rows, n0)
+        # diff_shifted along axis 0, restricted to rows i0..i1-1
+        centre = np.clip(np.arange(i0, i1), 1, n0 - 2)
+        stack = np.stack(
+            [
+                (hess[centre + 1] - hess[centre - 1]) / (2.0 * h[0]),
+                diff_shifted(hess[i0:i1], 1, h[1]),
+                diff_shifted(hess[i0:i1], 2, h[2]),
+            ],
+            axis=-3,
+        )
+        mag[i0:i1] = np.sqrt(np.sum(stack**2, axis=(3, 4, 5)))
+    return mag
 
 
-def sobolev_norm(s: ScalarField, m: int, p) -> float:
+def sobolev_norm(s: ScalarField, m: int, p, hess: TensorField | None = None) -> float:
     """Discrete Sobolev norm of the gradient of a potential.
 
     Sums the L^p norms of all derivatives of s of orders 1 .. m, with the
-    per-cell magnitude taken over all tensor components.
+    per-cell magnitude taken over all tensor components.  hess, when given,
+    must be hessian(s) (e.g. a state's cached Hessian); it is not recomputed.
     """
     m = int(m)
     if m < 1 or m > 3:
         raise ValueError(f"order m must be in 1..3, got {m}")
     if min(s.spec.dims) < m + 2:
         raise ValueError(f"grid dims {s.spec.dims} too small for order {m} (need >= {m + 2})")
+    mags = [np.sqrt(np.sum(gradient_values(s.values, s.spec) ** 2, axis=-1))]
+    if m >= 2:
+        hv = (hessian(s) if hess is None else hess).values
+        mags.append(np.sqrt(np.sum(hv**2, axis=(3, 4))))
+    if m == 3:
+        mags.append(_third_derivative_magnitude(hv, s.spec))
     total = 0.0
-    for order in range(1, m + 1):
-        stack = _derivative_stack(s.values, s.spec, order)
-        mag = np.sqrt(np.sum(stack**2, axis=tuple(range(3, stack.ndim))))
+    for mag in mags:
         if p == np.inf or p == float("inf"):
             total += float(np.max(mag))
         else:

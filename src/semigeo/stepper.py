@@ -206,7 +206,7 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
     x = spec.cell_centers()
     horizontal = ScalarField(spec, 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2))
     omega = sobolev_norm(horizontal, 3, p)
-    grad_norm = sobolev_norm(s.p, 3, p)
+    grad_norm = sobolev_norm(s.p, 3, p, hess=s.hess)
 
     hv = s.hess.values
     frob = np.sqrt(np.sum(hv**2, axis=(-2, -1)))
@@ -399,11 +399,11 @@ def growth_bound_check(states, constants: SchemeConstants) -> list[GrowthCheck]:
     if len(states) < 1:
         return []
     eps = states[1].time - states[0].time if len(states) > 1 else 0.0
-    base = constants.kappa + sobolev_norm(states[0].p, 3, constants.p)
+    base = constants.kappa + sobolev_norm(states[0].p, 3, constants.p, hess=states[0].hess)
     growth = 1.0 + (1.0 + 2.0 * constants.c_star) * eps
     checks = []
     for j, s in enumerate(states):
-        norm = sobolev_norm(s.p, 3, constants.p)
+        norm = sobolev_norm(s.p, 3, constants.p, hess=s.hess)
         bound = base * growth**j - constants.kappa
         checks.append(GrowthCheck(step=j, norm=norm, bound=bound))
     return checks

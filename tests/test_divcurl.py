@@ -5,6 +5,7 @@ from semigeo.divcurl import (
     DivCurlData,
     EllipticityError,
     SingularTensorError,
+    SolverConvergenceError,
     dense_operator,
     invert_3x3,
     recover_velocity,
@@ -21,6 +22,7 @@ from semigeo.grid import (
     divergence,
     gradient,
 )
+from semigeo.stepper import init_state, transport_data
 
 
 def make_spec(n):
@@ -273,6 +275,35 @@ class TestSolveDarcy:
         ev = np.linalg.eigvalsh(mat)
         assert ev[0] > -1e-10  # positive semidefinite
         assert ev[1] > 1e-3  # constants are the only null vectors
+
+    def test_iteration_limit_raises_with_history(self):
+        s = init_state("bump", make_spec(8), delta=0.01)
+        with pytest.raises(SolverConvergenceError) as err:
+            solve_darcy(reduce_to_darcy(transport_data(s)), maxiter=2)
+        history = err.value.history
+        assert len(history) == 3  # the initial 1.0, then one per iteration
+        assert history[0] == 1.0
+        assert min(history[1:]) > 1e-10
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_anisotropic_grid_matches_dense(self, symmetric):
+        # unequal cells and spacings per axis: the preconditioner's cosine
+        # bases and eigenvalues are per axis
+        rng = np.random.default_rng(37)
+        spec = GridSpec(dims=(5, 7, 9), extents=(1.0, 2.0, 0.5))
+        a = random_spd_tensor(spec, rng)
+        if not symmetric:
+            base = a.values.copy()
+            base[..., 0, 1] += 0.15
+            base[..., 1, 0] -= 0.15
+            a = TensorField(spec, base, symmetric=False)
+        d = DivCurlData(a=a, f=VectorField(spec, rng.standard_normal(spec.dims + (3,))))
+        p = reduce_to_darcy(d)
+        assert p.symmetric == symmetric
+        sol = solve_darcy(p, tol=1e-12)
+        q_ref = dense_solve(p)
+        rel = np.linalg.norm(sol.q.values - q_ref) / np.linalg.norm(q_ref)
+        assert rel < 1e-9
 
 
 class TestRecoverVelocity:

@@ -7,6 +7,7 @@ from semigeo.grid import (
     TensorField,
     VectorField,
     curl,
+    diff_shifted,
     divergence,
     eigmin_symmetric,
     gradient,
@@ -280,6 +281,27 @@ class TestSobolevNorm:
         s = random_scalar(spec, rng)
         d = ScalarField(spec, 2.0 * s.values)
         assert np.isclose(sobolev_norm(d, 3, 4), 2.0 * sobolev_norm(s, 3, 4), rtol=1e-14)
+
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (17, 6, 5)])
+    def test_bit_identical_to_whole_grid_stack(self, dims):
+        # reference: all derivatives of orders 1..3 stacked over the whole
+        # grid at once; 17 rows leave a one-row last slab of the order-3 part
+        rng = np.random.default_rng(5)
+        spec = make_spec(dims, extents=(1.0, 2.0, 0.5))
+        s = random_scalar(spec, rng)
+        h = spec.spacing
+        hess = hessian(s)
+        third = np.stack([diff_shifted(hess.values, a, h[a]) for a in range(3)], axis=-3)
+        for p in (4, np.inf):
+            want = 0.0
+            for stack in (gradient(s).values, hess.values, third):
+                mag = np.sqrt(np.sum(stack**2, axis=tuple(range(3, stack.ndim))))
+                if p == np.inf:
+                    want += float(np.max(mag))
+                else:
+                    want += float(np.sum(mag**4.0 * spec.cell_volume) ** 0.25)
+            assert sobolev_norm(s, 3, p) == want
+            assert sobolev_norm(s, 3, p, hess=hess) == want
 
     def test_rejects_high_order(self):
         spec = make_spec(8)

@@ -1,9 +1,11 @@
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
+from semigeo.coriolis import coriolis_transport_data, linear_coriolis
 from semigeo.divcurl import apply_operator, reduce_to_darcy
 from semigeo.grid import GridSpec, ScalarField, curl, gradient
 from semigeo.stepper import (
@@ -147,6 +149,37 @@ class TestStep:
         assert np.max(diff) - np.min(diff) < 1e-12
 
 
+class TestSolveIterations:
+    """The preconditioned solve takes a number of Krylov iterations that does
+    not grow with the grid (unpreconditioned, it grows like the cells per axis)."""
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_bump_cg_iterations_flat_in_grid(self, n):
+        s = init_state("bump", make_spec(n), delta=0.01)
+        _, sol, _ = step(s, 0.001)
+        assert 1 <= sol.iterations <= 12
+
+    def test_coriolis_bicgstab_iterations(self):
+        spec = make_spec(16)
+        s = init_state("bump", spec, delta=0.01)
+        model = partial(coriolis_transport_data, c=linear_coriolis(spec, 0.05))
+        _, sol, data = step(s, 0.001, model)
+        assert not data.symmetric
+        assert 1 <= sol.iterations <= 12
+
+    @pytest.mark.parametrize("preset, params, spec", [
+        ("quadratic", {"quad": (4.0, 1.0, 0.25)}, GridSpec((20, 20, 20))),
+        ("quadratic", {"quad": (4.0, 1.0, 0.25)}, GridSpec((12, 16, 20), extents=(1.0, 2.0, 0.5))),
+        # h = 1/20 is not a power of two: rounding-level rhs
+        ("identity", {}, GridSpec((20, 20, 20))),
+    ])
+    def test_constant_coefficient_in_two_iterations(self, preset, params, spec):
+        # the preconditioner inverts a constant-coefficient operator exactly
+        s = init_state(preset, spec, **params)
+        _, sol, _ = step(s, 0.001)
+        assert 1 <= sol.iterations <= 2
+
+
 class TestRun:
     def test_identity_trajectory_constant(self, run_states):
         s = init_state("identity", make_spec(8))
@@ -224,6 +257,14 @@ class TestRun:
         assert res.steps_completed == 20 and len(refs) == 21
         assert all(r() is None for r in refs[:-1])
         assert refs[-1]() is res.final_state
+
+    def test_solver_failure_is_a_recorded_halt(self):
+        s = init_state("bump", make_spec(8), delta=0.01)
+        res = run(s, SchemeConfig(epsilon=0.001, n_steps=3, maxiter=2))
+        assert res.halt_reason.startswith("solver failed at step 1: ")
+        assert "did not converge in 2 iterations" in res.halt_reason
+        assert res.steps_completed == 0 and res.final_state is s
+        assert [r.step for r in res.records] == [0]
 
     def test_records_cadence(self):
         s = init_state("identity", make_spec(8))
