@@ -25,7 +25,14 @@ from .coriolis import (
     make_coriolis_field,
 )
 from .grid import GridSpec, ScalarField
-from .stepper import SchemeConfig, compute_constants, init_state, run, transport_data
+from .stepper import (
+    ConvexityError,
+    SchemeConfig,
+    compute_constants,
+    init_state,
+    run,
+    transport_data,
+)
 
 __all__ = ["UsageError", "RunConfig", "parse_config", "run_experiment", "main"]
 
@@ -94,7 +101,8 @@ class RunConfig:
             "cm": repr(self.c_m),
             "tol": repr(self.tol),
             "out": self.out_dir,
-            "emit": "csv,fields" if self.emit_fields else ("csv" if self.emit_csv else ""),
+            "emit": ",".join(item for item, on in (("csv", self.emit_csv),
+                                                   ("fields", self.emit_fields)) if on),
             "snap-every": str(self.snap_every),
             "log-every": str(self.log_every),
             "strict": "true" if self.strict else "false",
@@ -431,7 +439,8 @@ def run_experiment(cfg: RunConfig) -> int:
     """Execute one configured run and write its artifacts.
 
     Returns the process exit status: nonzero only for solver failure or a
-    convexity halt before the horizon when strict mode is on.
+    convexity halt before the horizon when strict mode is on.  Raises
+    UsageError, before any artifact is written, for a preset or Coriolis field the grid rejects.
     """
     spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
     preset_params = {}
@@ -442,7 +451,17 @@ def run_experiment(cfg: RunConfig) -> int:
     if cfg.preset == "bump":
         preset_params["delta"] = cfg.bump_delta
         preset_params["k"] = cfg.bump_k
-    state = init_state(cfg.preset, spec, **preset_params)
+    violations = []
+    try:
+        state = init_state(cfg.preset, spec, **preset_params)
+    except ConvexityError as err:
+        violations.append(f"preset: {err}")
+    try:
+        field = _build_coriolis(cfg, spec)
+    except (OSError, ValueError) as err:
+        violations.append(f"coriolis: {err}")
+    if violations:
+        raise UsageError(violations)
     constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
 
     scheme = SchemeConfig(
@@ -450,7 +469,6 @@ def run_experiment(cfg: RunConfig) -> int:
         auto_horizon=cfg.auto_tau, tol=cfg.tol, maxiter=cfg.maxiter,
         record_every=cfg.log_every,
     )
-    field = _build_coriolis(cfg, spec)
     # passed even when it is run()'s default: a default argument is bound once,
     # when run is defined, so a profiler that rebinds transport_data would miss it
     model = transport_data if field is None else partial(coriolis_transport_data, c=field)
@@ -494,21 +512,29 @@ def main(argv=None) -> int:
         if a.startswith("--sweep="):
             sweep_path = a.split("=", 1)[1]
             break
-    if sweep_path is not None:
-        status = 0
-        for raw in Path(sweep_path).read_text().splitlines():
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            status = max(status, main(shlex.split(line)))
-        return status
     try:
-        cfg = parse_config(argv)
+        if sweep_path is not None:
+            return _run_sweep(sweep_path)
+        return run_experiment(parse_config(argv))
     except UsageError as err:
         for v in err.violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
-    return run_experiment(cfg)
+
+
+def _run_sweep(path) -> int:
+    """main() on each flag line of a sweep file; the worst status wins."""
+    try:
+        text = Path(path).read_text()
+    except OSError as err:
+        raise UsageError([f"cannot read sweep file {path}: {err}"]) from err
+    status = 0
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        status = max(status, main(shlex.split(line)))
+    return status
 
 
 if __name__ == "__main__":

@@ -89,30 +89,24 @@ def kf_inverse(c: CoriolisField) -> TensorField:
     return TensorField(c.spec, vals, symmetric=True)
 
 
-def _rank_one_term(s: GeopotentialState, c: CoriolisField) -> np.ndarray:
-    """Kf_inv (grad P (x) grad f) / f^2 per cell."""
-    outer = np.einsum("...a,...b->...ab", s.grad_p.values, c.grad_f.values)
-    f = c.f.values[..., None, None]
-    scale = np.ones(s.spec.dims + (3, 1))
-    scale[..., 0, 0] = c.f.values
-    scale[..., 1, 0] = c.f.values
-    return scale * outer / (f * f)
-
-
 def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> TensorField:
     """Perturbed coefficient; rejects cells where the rank-one term is not
-    dominated by half the local convexity modulus."""
+    dominated by half the local convexity modulus.
+
+    Dominance is the only definiteness test needed: with |T| < lambda_min(D2P)/2
+    per cell, the symmetric part of D2P - T has smallest eigenvalue above
+    lambda_min(D2P)/2 > 0 (Weyl).
+    """
     if s.spec.dims != c.spec.dims:
         raise ValueError("state and Coriolis field live on different grids")
-    term = _rank_one_term(s, c)
-    # spectral norm of the rank-one matrix (Kf_inv gp) (gf)^T / f^2 per cell
+    f = c.f.values
     gp = s.grad_p.values
-    scaled = np.stack([c.f.values * gp[..., 0], c.f.values * gp[..., 1], gp[..., 2]], axis=-1)
-    norm = (
-        np.sqrt(np.sum(scaled**2, axis=-1))
-        * np.sqrt(np.sum(c.grad_f.values**2, axis=-1))
-        / c.f.values**2
-    )
+    gf = c.grad_f.values
+    kf = np.stack([f, f, np.ones_like(f)], axis=-1)  # the diagonal of Kf_inv
+    # rank-one term (Kf_inv gp) (gf)^T / f^2 and its spectral norm per cell
+    outer = np.einsum("...a,...b->...ab", gp, gf)
+    term = kf[..., None] * outer / (f * f)[..., None, None]
+    norm = np.sqrt(np.sum((kf * gp) ** 2, axis=-1)) * np.sqrt(np.sum(gf**2, axis=-1)) / f**2
     local_lambda = eigmin_symmetric(s.hess.values)
     bad = norm >= 0.5 * local_lambda
     if np.any(bad):
@@ -122,17 +116,7 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
             f"modulus {float(local_lambda[idx]):.3e} at cell {tuple(int(i) for i in idx)}",
             cell=tuple(int(i) for i in idx),
         )
-    vals = s.hess.values - term
-    symmetric = bool(np.all(term == 0.0))
-    a = TensorField(s.spec, vals, symmetric=symmetric)
-    # symmetric part must stay positive definite for the Krylov solve
-    sym = 0.5 * (vals + vals.swapaxes(-1, -2))
-    lam = float(np.min(eigmin_symmetric(sym)))
-    if lam <= 0.0:
-        raise PerturbationError(
-            f"symmetric part of the Coriolis coefficient lost definiteness ({lam:.3e})"
-        )
-    return a
+    return TensorField(s.spec, s.hess.values - term, symmetric=bool(np.all(term == 0.0)))
 
 
 def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlData:

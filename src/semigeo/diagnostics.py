@@ -124,21 +124,22 @@ class SupportCheck:
         return self.value <= self.envelope * (1.0 + 1e-12) + 1e-12
 
 
-def support_bound_check(states) -> list[SupportCheck]:
+def support_bound_check(records, spec) -> list[SupportCheck]:
     """Exponential support envelope |grad P(t)|_inf <= (|grad P0|_inf + m) e^t - m
-    with m the farthest corner radius of the domain; the discrete form of the
-    growth argument behind the bounded-support property."""
-    if not states:
+    with m = spec.corner_radius(), the farthest corner radius of the domain;
+    the discrete form of the growth argument behind the bounded-support
+    property.  Checked at every recorded step of a run's records, the first
+    of which is step 0."""
+    if not records:
         return []
-    m = states[0].spec.corner_radius()
-    t0 = states[0].time
-    base = lp_norm(states[0].grad_p, np.inf) + m
-    checks = []
-    for j, s in enumerate(states):
-        value = lp_norm(s.grad_p, np.inf)
-        envelope = base * np.exp(s.time - t0) - m
-        checks.append(SupportCheck(step=j, time=s.time, value=value, envelope=envelope))
-    return checks
+    m = spec.corner_radius()
+    t0 = records[0].time
+    base = records[0].norm_linf + m
+    return [
+        SupportCheck(step=r.step, time=r.time, value=r.norm_linf,
+                     envelope=base * np.exp(r.time - t0) - m)
+        for r in records
+    ]
 
 
 def curl_residual(s) -> float:
@@ -172,7 +173,7 @@ def emit_record(s, solution, constants, step: int = 0) -> DiagnosticsRecord:
         norm_l2=lp_norm(s.grad_p, 2),
         norm_lp=lp_norm(s.grad_p, constants.p),
         norm_linf=lp_norm(s.grad_p, np.inf),
-        norm_w3p=sobolev_norm(s.p, 3, constants.p, hess=s.hess),
+        norm_w3p=sobolev_norm(s.grad_p, s.hess, constants.p),
         lambda_min=s.lambda_min,
         lambda_argmin=s.lambda_argmin,
         curl_residual=curl_residual(s),

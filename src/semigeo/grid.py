@@ -321,31 +321,19 @@ def _third_derivative_magnitude(hess: np.ndarray, spec: GridSpec) -> np.ndarray:
     return mag
 
 
-def sobolev_norm(s: ScalarField, m: int, p, hess: TensorField | None = None) -> float:
-    """Discrete Sobolev norm of the gradient of a potential.
+def sobolev_norm(grad: VectorField, hess: TensorField, p) -> float:
+    """Discrete W^{3,p} norm of the gradient of a potential.
 
-    Sums the L^p norms of all derivatives of s of orders 1 .. m, with the
-    per-cell magnitude taken over all tensor components.  hess, when given,
-    must be hessian(s) (e.g. a state's cached Hessian); it is not recomputed.
+    grad and hess are the potential's stencil gradient and Hessian (a state's
+    grad_p and hess); the norm sums the L^p norms of grad, hess and the third
+    derivatives built from hess, with the per-cell magnitude taken over all
+    tensor components.
     """
-    m = int(m)
-    if m < 1 or m > 3:
-        raise ValueError(f"order m must be in 1..3, got {m}")
-    if min(s.spec.dims) < m + 2:
-        raise ValueError(f"grid dims {s.spec.dims} too small for order {m} (need >= {m + 2})")
-    mags = [np.sqrt(np.sum(gradient_values(s.values, s.spec) ** 2, axis=-1))]
-    if m >= 2:
-        hv = (hessian(s) if hess is None else hess).values
-        mags.append(np.sqrt(np.sum(hv**2, axis=(3, 4))))
-    if m == 3:
-        mags.append(_third_derivative_magnitude(hv, s.spec))
-    total = 0.0
-    for mag in mags:
-        if p == np.inf or p == float("inf"):
-            total += float(np.max(mag))
-        else:
-            total += float(np.sum(mag ** float(p) * s.spec.cell_volume) ** (1.0 / float(p)))
-    return total
+    spec = grad.spec
+    if min(spec.dims) < 5:
+        raise ValueError(f"grid dims {spec.dims} too small for third derivatives (need >= 5)")
+    third = ScalarField(spec, _third_derivative_magnitude(hess.values, spec))
+    return lp_norm(grad, p) + lp_norm(hess, p) + lp_norm(third, p)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def preset_runs(run_states):
         ("quadratic", {"quad": (2.0, 1.0, 0.5)}),
         ("bump", {"delta": 0.005, "k": 1}),
     ]:
-        runs[name] = run_states(init_state(name, GRID16, **kwargs), cfg)[1]
+        runs[name] = run_states(init_state(name, GRID16, **kwargs), cfg)
     return runs
 
 
@@ -215,8 +215,8 @@ def test_criterion_6_convexity_propagation(run_states):
 def test_criterion_7_support_envelope(preset_runs):
     worst = np.inf
     ok = True
-    for name, states in preset_runs.items():
-        checks = support_bound_check(states)
+    for name, (res, _) in preset_runs.items():
+        checks = support_bound_check(res.records, GRID16)
         ok = ok and all(c.passed for c in checks)
         worst = min(worst, min(c.margin for c in checks))
     report(7, "support envelope", ok, f"smallest margin {worst:.3e}")
@@ -224,11 +224,11 @@ def test_criterion_7_support_envelope(preset_runs):
 
 def test_criterion_8_measure_normalisation(preset_runs):
     mass_err = 0.0
-    for states in preset_runs.values():
+    for _, states in preset_runs.values():
         for st in states:
             h = pushforward_histogram(st, bins=12)
             mass_err = max(mass_err, abs(h.total_mass - 1.0))
-    ident = preset_runs["identity"][0]
+    ident = preset_runs["identity"][1][0]
     h = pushforward_histogram(ident, bins=12)
     lo, hi = h.support_box
     half = GRID16.spacing[0] / 2.0
@@ -265,7 +265,7 @@ def test_criterion_9_coriolis_consistency(run_states):
 
 def test_criterion_10_conservativity(preset_runs, coriolis_run):
     worst = 0.0
-    for states in list(preset_runs.values()) + [coriolis_run]:
+    for states in [run[1] for run in preset_runs.values()] + [coriolis_run]:
         for st in states:
             worst = max(worst, curl_residual(st))
     report(10, "conservativity", worst <= 1e-12, f"max interior curl {worst:.3e}")

@@ -1,0 +1,39 @@
+"""The benchmark in perfbench/ reaches into the library by name: its tracer
+wraps functions listed in TRACED, and its set-up timing reads RunConfig
+fields.  These tests fail when a library change breaks either hook."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from semigeo.cli import parse_config
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# the RunConfig fields that perfbench/run.py measure_setup reads
+SETUP_FIELDS = ("dims", "origin", "extents", "preset", "bump_delta", "bump_k",
+                "p", "c_star", "c_m")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracer = load("tracer")
+    missing = [f"{mod}.{name}" for mod, names in tracer.TRACED.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"semigeo.{mod}"), name, None))]
+    assert missing == []
+
+
+def test_setup_reads_config_fields(tmp_path):
+    bench = load("run")
+    for workload in bench.WORKLOADS.values():
+        cfg = parse_config(bench.cli_argv(workload, 0, tmp_path))
+        assert [name for name in SETUP_FIELDS if not hasattr(cfg, name)] == []

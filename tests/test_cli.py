@@ -68,17 +68,18 @@ class TestParseConfig:
         assert any("wibble" in v for v in err.value.violations)
 
     def test_echo_round_trip(self):
-        cfg = parse_config(["--grid", "8,8,12", "--extent", "1,1,2",
-                            "--preset", "bump", "--bump-delta", "0.005",
-                            "--bump-k", "2", "--dt", "0.01", "--steps", "7",
-                            "--coriolis", "profile:0.05", "--tol", "1e-9",
-                            "--emit", "csv,fields", "--snap-every", "2",
-                            "--log-every", "3", "--strict", "--out", "results"])
-        echo = cfg.key_values()
-        argv = []
-        for key, value in echo.items():
-            argv.extend([f"--{key}", value])
-        assert parse_config(argv) == cfg
+        for emit in ("csv,fields", "fields"):
+            cfg = parse_config(["--grid", "8,8,12", "--extent", "1,1,2",
+                                "--preset", "bump", "--bump-delta", "0.005",
+                                "--bump-k", "2", "--dt", "0.01", "--steps", "7",
+                                "--coriolis", "profile:0.05", "--tol", "1e-9",
+                                "--emit", emit, "--snap-every", "2",
+                                "--log-every", "3", "--strict", "--out", "results"])
+            echo = cfg.key_values()
+            argv = []
+            for key, value in echo.items():
+                argv.extend([f"--{key}", value])
+            assert parse_config(argv) == cfg
 
 
 def run_dir(tmp_path, name, extra):
@@ -196,6 +197,24 @@ class TestRunExperiment:
         assert main(["--grid", "4", "--dt", "0.1", "--steps", "1",
                      "--out", str(tmp_path / "g4")]) == 2
         assert "grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("inputs", [
+        ["--sweep", "{tmp}/missing.txt"],
+        ["--coriolis", "file:{tmp}/missing.txt"],
+        ["--coriolis", "file:{tmp}/short.txt"],  # 7 values for 512 cells
+        ["--coriolis", "profile:-5"],  # f = 1 - 5 x3 turns negative
+        ["--preset", "bump", "--bump-delta", "0.2"],  # not convex
+    ], ids=["sweep-missing", "coriolis-file-missing", "coriolis-file-length",
+            "coriolis-profile-negative", "preset-not-convex"])
+    def test_config_time_failure_is_usage_error(self, tmp_path, capsys, inputs):
+        np.savetxt(tmp_path / "short.txt", np.full(7, 0.9))
+        out = tmp_path / "out"
+        argv = [a.format(tmp=tmp_path) for a in inputs]
+        assert main(argv + ["--grid", "8", "--dt", "0.01", "--steps", "2",
+                            "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert not out.exists()
 
     def test_lost_coriolis_dominance_is_a_halt(self, tmp_path):
         argv = ["--grid", "8", "--coriolis", "profile:5", "--dt", "0.01", "--steps", "3",

@@ -10,7 +10,7 @@ from semigeo.diagnostics import (
     support_bound_check,
 )
 from semigeo.grid import GridSpec, ScalarField
-from semigeo.stepper import SchemeConfig, compute_constants, init_state
+from semigeo.stepper import SchemeConfig, compute_constants, init_state, run
 
 
 def make_spec(n):
@@ -86,17 +86,17 @@ class TestPushforwardHistogram:
 
 
 class TestSupportBound:
-    def test_identity_passes(self, run_states):
+    def test_identity_passes(self):
         s = init_state("identity", make_spec(8))
-        _, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10))
-        checks = support_bound_check(states)
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10))
+        checks = support_bound_check(res.records, s.spec)
         assert all(c.passed for c in checks)
         assert checks[-1].margin > 0.0
 
-    def test_tilt_growth_below_envelope(self, run_states):
+    def test_tilt_growth_below_envelope(self):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        _, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=30))
-        assert all(c.passed for c in support_bound_check(states))
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=30))
+        assert all(c.passed for c in support_bound_check(res.records, s.spec))
 
     def test_doctored_trajectory_fails(self):
         # negative control: scaling grad P by e^{2t} outruns the e^t envelope
@@ -104,12 +104,13 @@ class TestSupportBound:
 
         spec = make_spec(8)
         base = init_state("identity", spec)
-        states = [base]
+        constants = compute_constants(base)
+        records = [emit_record(base, None, constants, step=0)]
         for j in range(1, 6):
             t = 0.5 * j
             scaled = init_state(ScalarField(spec, float(np.exp(2.0 * t)) * base.p.values))
-            states.append(replace(scaled, time=t))
-        checks = support_bound_check(states)
+            records.append(emit_record(replace(scaled, time=t), None, constants, step=j))
+        checks = support_bound_check(records, spec)
         assert not checks[-1].passed
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from semigeo.coriolis import coriolis_transport_data, linear_coriolis
+from semigeo.diagnostics import emit_record
 from semigeo.divcurl import apply_operator, reduce_to_darcy
-from semigeo.grid import GridSpec, ScalarField, curl, gradient
+from semigeo.grid import GridSpec, ScalarField, curl, gradient, hessian, sobolev_norm
 from semigeo.stepper import (
     ConvexityError,
     SchemeConfig,
@@ -67,9 +68,7 @@ class TestComputeConstants:
         c = compute_constants(s, p=4.0, c_star=1.0, c_m=1.0)
         assert c.kappa == pytest.approx((c.omega + 2.0) / 3.0, rel=1e-13)
         grad_norm = c.kappa  # not exposed; recompute tau from its definition
-        from semigeo.grid import sobolev_norm
-
-        grad_norm = sobolev_norm(s.p, 3, 4.0)
+        grad_norm = sobolev_norm(s.grad_p, s.hess, 4.0)
         want = np.log1p(c.lambda0 / (6.0 * (c.kappa + grad_norm))) / 3.0
         assert c.tau_star == pytest.approx(want, rel=1e-13)
 
@@ -91,6 +90,17 @@ class TestComputeConstants:
         s = init_state("identity", make_spec(8))
         with pytest.raises(ValueError):
             compute_constants(s, p=3.0)
+
+    @pytest.mark.parametrize("p", [4.0, np.inf])
+    def test_omega_matches_stencil_norm_of_horizontal_quadratic(self, p):
+        # oracle: the stencil W^{3,p} pass over (x1^2 + x2^2)/2, whose gradient
+        # is the rotation field up to a quarter turn
+        spec = GridSpec(dims=(6, 7, 9), origin=(-0.3, 0.2, 1.0), extents=(1.0, 2.0, 0.5))
+        x = spec.cell_centers()
+        horizontal = ScalarField(spec, 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2))
+        want = sobolev_norm(gradient(horizontal), hessian(horizontal), p)
+        omega = compute_constants(init_state("identity", spec), p=p).omega
+        assert omega == pytest.approx(want, rel=1e-10)
 
 
 class TestStep:
@@ -275,16 +285,16 @@ class TestRun:
 
 
 class TestGrowthBound:
-    def test_identity_passes(self, run_states):
+    def test_identity_passes(self):
         s = init_state("identity", make_spec(8))
-        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10))
-        checks = growth_bound_check(states, res.constants)
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10))
+        checks = growth_bound_check(res.records, res.constants, res.epsilon)
         assert all(c.passed for c in checks)
 
-    def test_tilt_passes(self, run_states):
+    def test_tilt_passes(self):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=20))
-        checks = growth_bound_check(states, res.constants)
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20))
+        checks = growth_bound_check(res.records, res.constants, res.epsilon)
         assert all(c.passed for c in checks)
 
     def test_doctored_norms_fail(self, run_states):
@@ -292,8 +302,9 @@ class TestGrowthBound:
         s = init_state("identity", make_spec(8))
         res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=6))
         doctored = init_state(ScalarField(states[3].spec, 2.0 * states[3].p.values))
-        states[3] = doctored
-        checks = growth_bound_check(states, res.constants)
+        records = list(res.records)
+        records[3] = emit_record(doctored, None, res.constants, step=3)
+        checks = growth_bound_check(records, res.constants, res.epsilon)
         assert not checks[3].passed
         assert all(c.passed for c in checks[:3])
 
