@@ -8,7 +8,6 @@ from .coriolis import (
     assemble_coriolis_coefficient,
     constant_coriolis,
     coriolis_transport_data,
-    kf_inverse,
     linear_coriolis,
     make_coriolis_field,
     step_coriolis,
@@ -58,7 +57,6 @@ from .stepper import (
     compute_constants,
     growth_bound_check,
     init_state,
-    mean_tilt,
     run,
     step,
     transport_data,

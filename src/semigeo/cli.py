@@ -215,7 +215,8 @@ def parse_config(argv, config_file=None) -> RunConfig:
     """
     violations = []
     flags = _flags_to_dict(list(argv), violations)
-    flags.pop("sweep", None)
+    if "sweep" in flags:
+        violations.append("--sweep names a sweep for main(), not a run configuration")
     file_path = flags.pop("config", None) or config_file
     kv = _read_config_file(file_path, violations) if file_path else {}
     kv.update(flags)
@@ -504,37 +505,50 @@ def run_experiment(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    sweep_path = None
-    for i, a in enumerate(argv):
-        if a == "--sweep":
-            sweep_path = argv[i + 1] if i + 1 < len(argv) else None
-            break
-        if a.startswith("--sweep="):
-            sweep_path = a.split("=", 1)[1]
-            break
     try:
-        if sweep_path is not None:
-            return _run_sweep(sweep_path)
-        return run_experiment(parse_config(argv))
+        sweep_path = _sweep_path(argv)
+        if sweep_path is None:
+            return run_experiment(parse_config(argv))
+        # a sweep runs each line as its own main(); the worst status wins
+        return max([main(line) for line in _sweep_lines(sweep_path)], default=0)
     except UsageError as err:
         for v in err.violations:
             print(f"error: {v}", file=sys.stderr)
         return 2
 
 
-def _run_sweep(path) -> int:
-    """main() on each flag line of a sweep file; the worst status wins."""
+def _sweep_path(argv):
+    """The sweep file argv names, or None; --sweep takes no other flag."""
+    violations = []
+    flags = _flags_to_dict(argv, violations)
+    if "sweep" not in flags:
+        return None
+    others = [f"--{key}" for key in flags if key != "sweep"]
+    if others:
+        violations.append(f"--sweep takes no other flags (each sweep line carries "
+                          f"its own), got {' '.join(others)}")
+    if violations:
+        raise UsageError(violations)
+    return flags["sweep"]
+
+
+def _sweep_lines(path) -> list:
+    """The flag lines of a sweep file, split; no line may name --sweep."""
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise UsageError([f"cannot read sweep file {path}: {err}"]) from err
-    status = 0
-    for raw in text.splitlines():
+    lines, nested = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        status = max(status, main(shlex.split(line)))
-    return status
+        lines.append(shlex.split(line))
+        if "sweep" in _flags_to_dict(lines[-1], []):
+            nested.append(f"{path}:{lineno}: a sweep line cannot name --sweep")
+    if nested:
+        raise UsageError(nested)
+    return lines
 
 
 if __name__ == "__main__":

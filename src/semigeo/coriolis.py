@@ -38,7 +38,6 @@ __all__ = [
     "CoriolisField",
     "constant_coriolis",
     "linear_coriolis",
-    "kf_inverse",
     "assemble_coriolis_coefficient",
     "coriolis_transport_data",
     "step_coriolis",
@@ -80,15 +79,6 @@ def linear_coriolis(spec: GridSpec, delta: float) -> CoriolisField:
     return make_coriolis_field(ScalarField(spec, 1.0 + float(delta) * x3))
 
 
-def kf_inverse(c: CoriolisField) -> TensorField:
-    """Per-cell diag(f, f, 1)."""
-    vals = np.zeros(c.spec.dims + (3, 3))
-    vals[..., 0, 0] = c.f.values
-    vals[..., 1, 1] = c.f.values
-    vals[..., 2, 2] = 1.0
-    return TensorField(c.spec, vals, symmetric=True)
-
-
 def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> TensorField:
     """Perturbed coefficient; rejects cells where the rank-one term is not
     dominated by half the local convexity modulus.
@@ -123,7 +113,9 @@ def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlDa
     """Coefficient and curl-source of the variable-rotation velocity system.
 
     The source is Kf_inv J (grad P - x); for constant f this is f * J(grad P - x)
-    and the coefficient collapses to the plain Hessian.
+    and the coefficient collapses to the plain Hessian.  The coefficient is
+    certified by the dominance test of assemble_coriolis_coefficient, which
+    raises PerturbationError (an EllipticityError) where it fails.
     """
     a = assemble_coriolis_coefficient(s, c)
     x = s.spec.cell_centers()

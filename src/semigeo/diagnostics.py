@@ -152,20 +152,20 @@ def curl_residual(s) -> float:
     return float(np.max(np.sqrt(np.sum(interior**2, axis=-1))))
 
 
-def emit_record(s, solution, constants, step: int = 0) -> DiagnosticsRecord:
-    """Assemble the full record for one state; pure function of its inputs."""
+def emit_record(s, solution, constants, step: int = 0, ratios=None) -> DiagnosticsRecord:
+    """Assemble the full record for one state; pure function of its inputs.
+
+    solution is the solve that led to s and ratios its EstimateRatios (see
+    divcurl.verify_estimate); the ratio columns are None without them."""
     t = s.grad_p.values
     bbox_min = tuple(float(v) for v in t.reshape(-1, 3).min(axis=0))
     bbox_max = tuple(float(v) for v in t.reshape(-1, 3).max(axis=0))
     if solution is None:
         u_max, iters, resid = 0.0, 0, 0.0
-        ratio_u = ratio_au = None
     else:
         u_max = lp_norm(solution.u, np.inf)
         iters = solution.iterations
         resid = solution.residual
-        ratio_u = solution.est_ratio_u
-        ratio_au = solution.est_ratio_au
     return DiagnosticsRecord(
         step=step,
         time=s.time,
@@ -182,6 +182,6 @@ def emit_record(s, solution, constants, step: int = 0) -> DiagnosticsRecord:
         u_max=u_max,
         solver_iterations=iters,
         solver_residual=resid,
-        est_ratio_u=ratio_u,
-        est_ratio_au=ratio_au,
+        est_ratio_u=None if ratios is None else ratios.u_ratio,
+        est_ratio_au=None if ratios is None else ratios.au_ratio,
     )

@@ -26,10 +26,10 @@ from .grid import (
     VectorField,
     _sl,
     curl,
-    eigmin_symmetric,
     gradient_values,
     jacobian,
     lp_norm,
+    min_hessian_eigenvalue,
 )
 
 __all__ = [
@@ -116,32 +116,12 @@ class SolverConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class DivCurlData:
     """Coefficient tensor A and curl-source potential f (the curl right-hand
-    side of the system is F = curl f)."""
+    side of the system is F = curl f).  A plain record: whoever builds A
+    certifies that its symmetric part is positive definite (a model, see
+    stepper.step), or solve_divcurl checks it."""
 
     a: TensorField
     f: VectorField
-
-    def __post_init__(self):
-        sym = 0.5 * (self.a.values + self.a.values.swapaxes(-1, -2))
-        lam = eigmin_symmetric(sym)
-        idx = np.unravel_index(int(np.argmin(lam)), lam.shape)
-        lam_min = float(lam[idx])
-        if lam_min <= 0.0:
-            raise EllipticityError(
-                f"symmetric part of coefficient not positive definite: "
-                f"eigenvalue {lam_min:.3e} at cell {tuple(int(i) for i in idx)}",
-                cell=tuple(int(i) for i in idx),
-                eigenvalue=lam_min,
-            )
-        object.__setattr__(self, "_lambda_min", lam_min)
-
-    @property
-    def symmetric(self) -> bool:
-        return self.a.symmetric
-
-    @property
-    def lambda_min(self) -> float:
-        return self._lambda_min
 
 
 @dataclass(frozen=True)
@@ -177,14 +157,12 @@ class DarcyProblem:
         return self.m.symmetric
 
 
-@dataclass
+@dataclass(frozen=True)
 class DarcySolution:
     q: ScalarField  # mean-zero potential
     u: VectorField  # recovered velocity M (f + grad q)
     iterations: int
     residual: float  # relative to |rhs|
-    est_ratio_u: float | None = None
-    est_ratio_au: float | None = None
 
 
 @dataclass(frozen=True)
@@ -481,7 +459,21 @@ def solve_darcy(p: DarcyProblem, tol: float = 1e-10, maxiter: int | None = None)
 
 
 def solve_divcurl(d: DivCurlData, tol: float = 1e-10, maxiter: int | None = None) -> DarcySolution:
-    """Reduce and solve in one call."""
+    """Certify, reduce and solve in one call.
+
+    Raises EllipticityError, with the cell and eigenvalue, when the symmetric
+    part of the coefficient is not positive definite.
+    """
+    v = d.a.values
+    sym = TensorField(d.a.spec, 0.5 * (v + v.swapaxes(-1, -2)), symmetric=True)
+    lam_min, cell = min_hessian_eigenvalue(sym)
+    if lam_min <= 0.0:
+        raise EllipticityError(
+            f"symmetric part of coefficient not positive definite: "
+            f"eigenvalue {lam_min:.3e} at cell {cell}",
+            cell=cell,
+            eigenvalue=lam_min,
+        )
     return solve_darcy(reduce_to_darcy(d), tol=tol, maxiter=maxiter)
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "apply_rotation",
     "preset_potential",
     "init_state",
-    "mean_tilt",
     "compute_constants",
     "transport_data",
     "step",
@@ -167,14 +166,6 @@ def init_state(source, spec: GridSpec | None = None, *, time: float = 0.0,
     return _build_state(values, spec, time)
 
 
-def mean_tilt(s: GeopotentialState) -> np.ndarray:
-    """Volume mean of grad P - x; recovers a exactly on tilt-type states."""
-    return np.array([
-        float(np.mean(s.grad_p.values[..., a] - s.spec.cell_centers()[..., a]))
-        for a in range(3)
-    ])
-
-
 @dataclass(frozen=True)
 class SchemeConstants:
     """Scheme parameters; tau_star is indicative, computable only up to the
@@ -229,7 +220,11 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
 
 def transport_data(s: GeopotentialState) -> DivCurlData:
     """Coefficient and curl-source of the velocity system at this state:
-    A = D2P and f = J(grad P - x)."""
+    A = D2P and f = J(grad P - x).
+
+    The base model: A is certified by step's convexity guard, since D2P is
+    exactly symmetric and its smallest eigenvalue is s.lambda_min.
+    """
     x = s.spec.cell_centers()
     f = apply_rotation(s.grad_p.values - x)
     return DivCurlData(a=s.hess, f=VectorField(s.spec, f))
@@ -243,7 +238,9 @@ def step(s: GeopotentialState, epsilon: float, model=transport_data, tol: float 
     The model maps the state to its div-curl data (transport_data, or a
     variable-rotation closure such as partial(coriolis_transport_data, c=c));
     it is called once, after the convexity check, and its data is returned
-    with the solution so the caller can reuse it.  The new transported field
+    with the solution so the caller can reuse it.  A model's contract: it
+    returns a coefficient whose symmetric part is positive definite, or raises
+    EllipticityError; the solve does not check again.  The new transported field
     is grad(P - eps q), a discrete gradient by construction.  Raises
     ConvexityError, EllipticityError or SolverConvergenceError with the state
     unchanged when the step cannot be taken.
@@ -329,10 +326,10 @@ def run(s0: GeopotentialState, config: SchemeConfig,
 
     Early halts (convexity floor, solver failure, lost ellipticity) are
     structured outcomes recorded in halt_reason, not exceptions.  The model
-    (see step) is assembled once per step and its data reused for the
-    estimate ratios.  Only the current state is kept: observe(j, state, sol)
-    is called once for every state reached, with the solve taken from that
-    state, or None when no solve followed it.
+    (see step) is assembled once per step; on recorded steps its data is
+    reused for the estimate ratios.  Only the current state is kept:
+    observe(j, state, sol) is called once for every state reached, with the
+    solve taken from that state, or None when no solve followed it.
     """
     from .diagnostics import emit_record
 
@@ -352,14 +349,12 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         except SolverConvergenceError as err:
             halt_reason = f"solver failed at step {j + 1}: {err}"
             break
-        ratios = verify_estimate(sol.u, data, constants.p)
-        sol.est_ratio_u = ratios.u_ratio
-        sol.est_ratio_au = ratios.au_ratio
         if observe is not None:
             observe(j, state, sol)
         state, j = new_state, j + 1
         if j % config.record_every == 0 or j == n_steps:
-            records.append(emit_record(state, sol, constants, step=j))
+            ratios = verify_estimate(sol.u, data, constants.p)
+            records.append(emit_record(state, sol, constants, step=j, ratios=ratios))
         if config.convexity_floor and state.lambda_min < FLOOR_FRACTION * state.lambda0:
             halt_reason = (
                 f"convexity floor reached at step {j}: lambda_min "

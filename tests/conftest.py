@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from semigeo.grid import TensorField
 from semigeo.stepper import run
 
 
@@ -13,3 +15,20 @@ def run_states():
         return res, states
 
     return run_and_collect
+
+
+def mean_tilt(s):
+    """Volume mean of grad P - x; recovers a exactly on tilt-type states."""
+    return np.array([
+        float(np.mean(s.grad_p.values[..., a] - s.spec.cell_centers()[..., a]))
+        for a in range(3)
+    ])
+
+
+def kf_inverse(c):
+    """Per-cell diag(f, f, 1) of a Coriolis field."""
+    vals = np.zeros(c.spec.dims + (3, 3))
+    vals[..., 0, 0] = c.f.values
+    vals[..., 1, 1] = c.f.values
+    vals[..., 2, 2] = 1.0
+    return TensorField(c.spec, vals, symmetric=True)

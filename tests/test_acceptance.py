@@ -34,10 +34,11 @@ from semigeo.stepper import (
     SchemeConfig,
     compute_constants,
     init_state,
-    mean_tilt,
     run,
     transport_data,
 )
+
+from conftest import mean_tilt
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 GRID16 = GridSpec(dims=(16, 16, 16))

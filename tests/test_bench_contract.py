@@ -1,13 +1,14 @@
 """The benchmark in perfbench/ reaches into the library by name: its tracer
-wraps functions listed in TRACED, and its set-up timing reads RunConfig
-fields.  These tests fail when a library change breaks either hook."""
+wraps functions listed in TRACED, its set-up timing reads RunConfig fields,
+and its checks read the CLI's series.csv and VTK snapshots.  These tests fail
+when a library change breaks any of these hooks."""
 
 import importlib
 import importlib.util
 import sys
 from pathlib import Path
 
-from semigeo.cli import parse_config
+from semigeo.cli import main, parse_config
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -37,3 +38,15 @@ def test_setup_reads_config_fields(tmp_path):
     for workload in bench.WORKLOADS.values():
         cfg = parse_config(bench.cli_argv(workload, 0, tmp_path))
         assert [name for name in SETUP_FIELDS if not hasattr(cfg, name)] == []
+
+
+def test_checks_read_the_artifacts(tmp_path):
+    checks = load("checks")
+    out = tmp_path / "run"
+    assert main(["--grid", "6", "--preset", "bump", "--dt", "0.001", "--steps", "2",
+                 "--emit", "csv,fields", "--snap-every", "1", "--out", str(out)]) == 0
+    for j in (1, 2):
+        assert checks.vtk_problem(out / f"fields_{j:04d}.vtk", 6) is None
+    outcome = checks.check_run(out, steps=2, n=6, snap_every=1, constant=False,
+                               reference=None)
+    assert outcome.correct and outcome.failed == 0, outcome.problems

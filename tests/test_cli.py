@@ -245,3 +245,28 @@ class TestRunExperiment:
         assert main(["--sweep", str(sweep)]) == 0
         assert (tmp_path / "s1" / "series.csv").exists()
         assert (tmp_path / "s2" / "series.csv").exists()
+
+    def test_sweep_takes_no_other_flags(self, tmp_path, capsys):
+        sweep = tmp_path / "empty.txt"
+        sweep.write_text("")
+        assert main(["--sweep", str(sweep), "--grid", "3", "--preset", "bogus"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sweep takes no other flags")
+        assert "--grid --preset" in err
+        assert main(["--sweep", str(sweep)]) == 0
+
+    def test_sweep_missing_file(self, tmp_path, capsys):
+        assert main(["--sweep", str(tmp_path / "missing.txt")]) == 2
+        assert "cannot read sweep file" in capsys.readouterr().err
+
+    def test_sweep_line_cannot_name_sweep(self, tmp_path, capsys):
+        # a self-referencing sweep: nothing runs, the line is named
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(
+            f"--sweep {sweep}\n"
+            f"--grid 6 --preset identity --dt 0.01 --steps 2 --out {tmp_path/'s1'}\n"
+        )
+        assert main(["--sweep", str(sweep)]) == 2
+        err = capsys.readouterr().err
+        assert f"{sweep}:1: a sweep line cannot name --sweep" in err
+        assert not (tmp_path / "s1").exists()

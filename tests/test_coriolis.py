@@ -8,14 +8,15 @@ from semigeo.coriolis import (
     assemble_coriolis_coefficient,
     constant_coriolis,
     coriolis_transport_data,
-    kf_inverse,
     linear_coriolis,
     make_coriolis_field,
     step_coriolis,
 )
 from semigeo.divcurl import apply_operator, reduce_to_darcy
 from semigeo.grid import GridSpec, ScalarField
-from semigeo.stepper import SchemeConfig, init_state, mean_tilt, run, step
+from semigeo.stepper import SchemeConfig, init_state, run, step
+
+from conftest import kf_inverse, mean_tilt
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 

@@ -170,9 +170,7 @@ class TestEmitRecord:
         c = compute_constants(s)
         new, sol, _ = step(s, 0.01)
         ratios = verify_estimate(sol.u, transport_data(s), c.p)
-        sol.est_ratio_u = ratios.u_ratio
-        sol.est_ratio_au = ratios.au_ratio
-        r = emit_record(new, sol, c, step=1)
+        r = emit_record(new, sol, c, step=1, ratios=ratios)
         assert r.solver_iterations == sol.iterations
         assert r.u_max > 0.0
         assert r.est_ratio_u is not None and r.est_ratio_u > 0.0

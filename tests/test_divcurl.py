@@ -123,22 +123,32 @@ class TestInvert3x3:
         assert err.value.cell == (1, 2, 3)
 
 
-class TestDivCurlData:
+class TestSolveDivcurl:
+    """DivCurlData is a plain record; solve_divcurl certifies its coefficient."""
+
     def test_rejects_indefinite_coefficient(self):
         spec = make_spec(4)
         vals = np.tile(np.eye(3), spec.dims + (1, 1))
         vals[0, 0, 0] = np.diag([1.0, 1.0, -0.5])
-        with pytest.raises(EllipticityError) as err:
-            DivCurlData(a=TensorField(spec, vals, symmetric=True),
+        d = DivCurlData(a=TensorField(spec, vals, symmetric=True),
                         f=const_vector(spec, [0, 0, 0]))
+        with pytest.raises(EllipticityError) as err:
+            solve_divcurl(d)
         assert err.value.cell == (0, 0, 0)
         assert err.value.eigenvalue == pytest.approx(-0.5)
 
-    def test_lambda_min_recorded(self):
-        spec = make_spec(4)
-        d = DivCurlData(a=const_tensor(spec, np.diag([2.0, 1.0, 0.5])),
+    def test_rejects_indefinite_symmetric_part(self):
+        # upper triangular, every eigenvalue 1, yet its symmetric part
+        # [[1, 2], [2, 1]] has eigenvalue -1
+        spec = make_spec(5)
+        vals = np.tile(np.eye(3), spec.dims + (1, 1))
+        vals[1, 2, 3, 0, 1] = 4.0
+        d = DivCurlData(a=TensorField(spec, vals, symmetric=False),
                         f=const_vector(spec, [0, 0, 0]))
-        assert d.lambda_min == pytest.approx(0.5)
+        with pytest.raises(EllipticityError) as err:
+            solve_divcurl(d)
+        assert err.value.cell == (1, 2, 3)
+        assert err.value.eigenvalue == pytest.approx(-1.0)
 
 
 class TestReduceToDarcy:

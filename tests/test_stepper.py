@@ -5,6 +5,10 @@ from functools import partial
 import numpy as np
 import pytest
 
+import semigeo.coriolis
+import semigeo.divcurl
+import semigeo.grid
+import semigeo.stepper
 from semigeo.coriolis import coriolis_transport_data, linear_coriolis
 from semigeo.diagnostics import emit_record
 from semigeo.divcurl import apply_operator, reduce_to_darcy
@@ -15,11 +19,12 @@ from semigeo.stepper import (
     compute_constants,
     growth_bound_check,
     init_state,
-    mean_tilt,
     run,
     step,
     transport_data,
 )
+
+from conftest import mean_tilt
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -159,6 +164,31 @@ class TestStep:
         assert np.max(diff) - np.min(diff) < 1e-12
 
 
+class TestCertifiedOnce:
+    """Each model's coefficient is certified where it is born: the base model
+    by the state's own eigenvalue scan, the Coriolis model by one more scan
+    in its dominance test; the solve adds none."""
+
+    @pytest.mark.parametrize("coriolis, scans", [(False, 1), (True, 2)])
+    def test_eigenvalue_scans_per_step(self, monkeypatch, coriolis, scans):
+        spec = make_spec(8)
+        s = init_state("bump", spec, delta=0.01)
+        model = (partial(coriolis_transport_data, c=linear_coriolis(spec, 0.05))
+                 if coriolis else transport_data)
+        calls = []
+        scan = semigeo.grid.eigmin_symmetric
+
+        def counted(values):
+            calls.append(values.shape)
+            return scan(values)
+
+        for module in (semigeo.grid, semigeo.divcurl, semigeo.coriolis):
+            if hasattr(module, "eigmin_symmetric"):
+                monkeypatch.setattr(module, "eigmin_symmetric", counted)
+        step(s, 0.001, model)
+        assert len(calls) == scans
+
+
 class TestSolveIterations:
     """The preconditioned solve takes a number of Krylov iterations that does
     not grow with the grid (unpreconditioned, it grows like the cells per axis)."""
@@ -174,7 +204,7 @@ class TestSolveIterations:
         s = init_state("bump", spec, delta=0.01)
         model = partial(coriolis_transport_data, c=linear_coriolis(spec, 0.05))
         _, sol, data = step(s, 0.001, model)
-        assert not data.symmetric
+        assert not data.a.symmetric
         assert 1 <= sol.iterations <= 12
 
     @pytest.mark.parametrize("preset, params, spec", [
@@ -254,6 +284,25 @@ class TestRun:
         assert [t for _, t, _ in seen[:-1]] == calls
         assert [none for _, _, none in seen] == [False] * 5 + [True]
         assert all(r.est_ratio_u is not None for r in res.records[1:])
+
+    def test_ratios_only_on_recorded_steps(self, monkeypatch):
+        s = init_state("bump", make_spec(6), delta=0.005, k=1)
+        every = run(s, SchemeConfig(epsilon=0.01, n_steps=7))
+        calls = []
+        verify = semigeo.stepper.verify_estimate
+
+        def counted(u, data, p):
+            calls.append(p)
+            return verify(u, data, p)
+
+        monkeypatch.setattr(semigeo.stepper, "verify_estimate", counted)
+        sparse = run(s, SchemeConfig(epsilon=0.01, n_steps=7, record_every=3))
+        assert [r.step for r in sparse.records] == [0, 3, 6, 7]
+        assert len(calls) == 3
+        for r in sparse.records[1:]:
+            ref = every.records[r.step]
+            assert r.est_ratio_u is not None
+            assert (r.est_ratio_u, r.est_ratio_au) == (ref.est_ratio_u, ref.est_ratio_au)
 
     def test_memory_bounded_in_steps(self):
         # the observer keeps weak references only; run() must hold no more
