@@ -176,12 +176,12 @@ def _flags_to_dict(argv, violations) -> dict:
                 violations.append(f"flag --{key} is missing a value")
                 i += 1
                 continue
-        if key == "config":
-            kv["config"] = value
-        elif key in _FLAG_KEYS or key == "origin" or key == "sweep":
-            kv[key] = value
-        else:
+        if key not in _FLAG_KEYS and key not in ("config", "origin", "sweep"):
             violations.append(f"unknown flag --{key}")
+        elif key not in kv:
+            kv[key] = value
+        elif f"--{key} given twice" not in violations:
+            violations.append(f"--{key} given twice")
     return kv
 
 
@@ -487,9 +487,11 @@ def run_experiment(cfg: RunConfig) -> int:
     if cfg.emit_csv:
         write_series_csv(out / "series.csv", result.records)
 
+    scheme_constants = asdict(result.constants)
+    del scheme_constants["norm_w3p0"]  # a norm of the state, in series.csv's step-0 row
     meta = {
         "config": cfg.key_values(),
-        "constants": asdict(result.constants),
+        "constants": scheme_constants,
         "epsilon": result.epsilon,
         "n_steps_requested": result.n_steps,
         "steps_completed": result.steps_completed,

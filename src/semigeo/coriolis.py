@@ -30,6 +30,7 @@ from .grid import (
     VectorField,
     eigmin_symmetric,
     gradient,
+    sum_of_squares,
 )
 from .stepper import GeopotentialState, apply_rotation, step
 
@@ -90,13 +91,13 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
     if s.spec.dims != c.spec.dims:
         raise ValueError("state and Coriolis field live on different grids")
     f = c.f.values
-    gp = s.grad_p.values
-    gf = c.grad_f.values
-    kf = np.stack([f, f, np.ones_like(f)], axis=-1)  # the diagonal of Kf_inv
-    # rank-one term (Kf_inv gp) (gf)^T / f^2 and its spectral norm per cell
-    outer = np.einsum("...a,...b->...ab", gp, gf)
-    term = kf[..., None] * outer / (f * f)[..., None, None]
-    norm = np.sqrt(np.sum((kf * gp) ** 2, axis=-1)) * np.sqrt(np.sum(gf**2, axis=-1)) / f**2
+    gp = np.moveaxis(s.grad_p.values, -1, 0)
+    gf = np.moveaxis(c.grad_f.values, -1, 0)
+    kf = np.stack([f, f, np.ones_like(f)])  # the diagonal of Kf_inv
+    # rank-one term (Kf_inv gp) (gf)^T / f^2, component-major, and its
+    # spectral norm per cell
+    term = kf[:, None] * (gp[:, None] * gf[None, :]) / (f * f)
+    norm = np.sqrt(sum_of_squares(list(kf * gp))) * np.sqrt(sum_of_squares(list(gf))) / f**2
     local_lambda = eigmin_symmetric(s.hess.values)
     bad = norm >= 0.5 * local_lambda
     if np.any(bad):
@@ -106,7 +107,8 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
             f"modulus {float(local_lambda[idx]):.3e} at cell {tuple(int(i) for i in idx)}",
             cell=tuple(int(i) for i in idx),
         )
-    return TensorField(s.spec, s.hess.values - term, symmetric=bool(np.all(term == 0.0)))
+    return TensorField.from_components(s.spec, s.hess.comp - term,
+                                       symmetric=bool(np.all(term == 0.0)))
 
 
 def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlData:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import curl, lp_norm, sobolev_norm
+from .grid import cell_magnitude, lp_norm, sobolev_norm, sum_of_squares
 
 __all__ = [
     "DiagnosticsRecord",
@@ -144,19 +144,38 @@ def support_bound_check(records, spec) -> list[SupportCheck]:
 
 def curl_residual(s) -> float:
     """Max magnitude of curl(grad P) over cells two layers in from each face;
-    zero to rounding because the transported field is a stored gradient."""
-    c = curl(s.grad_p).values
-    interior = c[2:-2, 2:-2, 2:-2]
-    if interior.size == 0:
+    zero to rounding because the transported field is a stored gradient.
+
+    Only that block is differentiated, with the centred differences grid.curl
+    takes there, so the value is bit for bit that of curl(s.grad_p)."""
+    if min(s.spec.dims) <= 4:
         return 0.0
-    return float(np.max(np.sqrt(np.sum(interior**2, axis=-1))))
+    g = s.grad_p.values
+    h = s.spec.spacing
+
+    def d(a, b):  # d g_b / d x_a on cells [2:-2]^3
+        hi, lo = [slice(2, -2)] * 3, [slice(2, -2)] * 3
+        hi[a], lo[a] = slice(3, -1), slice(1, -3)
+        return (g[(*hi, b)] - g[(*lo, b)]) / (2.0 * h[a])
+
+    comps = [d(1, 2) - d(2, 1), d(2, 0) - d(0, 2), d(0, 1) - d(1, 0)]
+    return float(np.max(np.sqrt(sum_of_squares(comps))))
 
 
-def emit_record(s, solution, constants, step: int = 0, ratios=None) -> DiagnosticsRecord:
+def emit_record(s, solution, constants, step: int = 0, ratios=None,
+                norm_w3p=None) -> DiagnosticsRecord:
     """Assemble the full record for one state; pure function of its inputs.
 
     solution is the solve that led to s and ratios its EstimateRatios (see
-    divcurl.verify_estimate); the ratio columns are None without them."""
+    divcurl.verify_estimate); the ratio columns are None without them.
+    norm_w3p is the state's W^{3,p} norm when the caller has it already
+    (SchemeConstants.norm_w3p0 for the initial state); it is computed
+    otherwise.  All norms of grad P share one per-cell magnitude."""
+    p = constants.p
+    grad_mag = cell_magnitude(s.grad_p)
+    norm_lp = lp_norm(grad_mag, p)
+    if norm_w3p is None:
+        norm_w3p = sobolev_norm(norm_lp, lp_norm(s.hess, p), s.hess, p)
     t = s.grad_p.values
     bbox_min = tuple(float(v) for v in t.reshape(-1, 3).min(axis=0))
     bbox_max = tuple(float(v) for v in t.reshape(-1, 3).max(axis=0))
@@ -170,10 +189,10 @@ def emit_record(s, solution, constants, step: int = 0, ratios=None) -> Diagnosti
         step=step,
         time=s.time,
         energy=energy(s),
-        norm_l2=lp_norm(s.grad_p, 2),
-        norm_lp=lp_norm(s.grad_p, constants.p),
-        norm_linf=lp_norm(s.grad_p, np.inf),
-        norm_w3p=sobolev_norm(s.grad_p, s.hess, constants.p),
+        norm_l2=lp_norm(grad_mag, 2),
+        norm_lp=norm_lp,
+        norm_linf=lp_norm(grad_mag, np.inf),
+        norm_w3p=norm_w3p,
         lambda_min=s.lambda_min,
         lambda_argmin=s.lambda_argmin,
         curl_residual=curl_residual(s),

@@ -30,6 +30,7 @@ from .grid import (
     jacobian,
     lp_norm,
     min_hessian_eigenvalue,
+    sum_of_squares,
 )
 
 __all__ = [
@@ -68,8 +69,9 @@ def _face_diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def _face_diff_t(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> None:
-    out[_sl(out, axis, slice(1, None))] += f / h
-    out[_sl(out, axis, slice(None, -1))] -= f / h
+    g = f / h
+    out[_sl(out, axis, slice(1, None))] += g
+    out[_sl(out, axis, slice(None, -1))] -= g
 
 
 def _face_avg(a: np.ndarray, axis: int) -> np.ndarray:
@@ -77,8 +79,9 @@ def _face_avg(a: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _face_avg_t(f: np.ndarray, axis: int, out: np.ndarray) -> None:
-    out[_sl(out, axis, slice(1, None))] += 0.5 * f
-    out[_sl(out, axis, slice(None, -1))] += 0.5 * f
+    g = 0.5 * f
+    out[_sl(out, axis, slice(1, None))] += g
+    out[_sl(out, axis, slice(None, -1))] += g
 
 
 def _transverse_diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
@@ -175,22 +178,36 @@ class EstimateRatios:
         return self.u_ratio is not None
 
 
+def _matvec(t: TensorField, v: np.ndarray) -> np.ndarray:
+    """Per-cell product t v for v of shape (nx, ny, nz, 3).
+
+    Row a is (t[a,0] v0 + t[a,2] v2) + t[a,1] v1, added into zeros: the order
+    np.einsum("...ab,...b->...a") took on row-major (..., 3, 3) tensors, so
+    products are bit-identical to it.
+    """
+    c = t.comp
+    out = np.zeros(v.shape)
+    for a in range(3):
+        out[..., a] += (c[a, 0] * v[..., 0] + c[a, 2] * v[..., 2]) + c[a, 1] * v[..., 1]
+    return out
+
+
 def invert_3x3(t: TensorField) -> TensorField:
     """Closed-form adjugate/determinant inverse per cell.
 
     Symmetric input gives exactly symmetric output (upper triangle mirrored).
     """
-    v = t.values
-    a00, a01, a02 = v[..., 0, 0], v[..., 0, 1], v[..., 0, 2]
-    a10, a11, a12 = v[..., 1, 0], v[..., 1, 1], v[..., 1, 2]
-    a20, a21, a22 = v[..., 2, 0], v[..., 2, 1], v[..., 2, 2]
+    c = t.comp
+    a00, a01, a02 = c[0]
+    a10, a11, a12 = c[1]
+    a20, a21, a22 = c[2]
 
     c00 = a11 * a22 - a12 * a21
     c01 = a12 * a20 - a10 * a22
     c02 = a10 * a21 - a11 * a20
     det = a00 * c00 + a01 * c01 + a02 * c02
 
-    norm = np.sqrt(np.sum(v**2, axis=(-2, -1)))
+    norm = np.sqrt(sum_of_squares([c[a, b] for a in range(3) for b in range(3)]))
     bad = np.abs(det) <= 1e-12 * norm**3
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
@@ -201,37 +218,37 @@ def invert_3x3(t: TensorField) -> TensorField:
             det=float(det[idx]),
         )
 
-    inv = np.empty_like(v)
-    inv[..., 0, 0] = c00
-    inv[..., 0, 1] = a02 * a21 - a01 * a22
-    inv[..., 0, 2] = a01 * a12 - a02 * a11
-    inv[..., 1, 1] = a00 * a22 - a02 * a20
-    inv[..., 1, 2] = a02 * a10 - a00 * a12
-    inv[..., 2, 2] = a00 * a11 - a01 * a10
+    inv = np.empty_like(c)
+    inv[0, 0] = c00
+    inv[0, 1] = a02 * a21 - a01 * a22
+    inv[0, 2] = a01 * a12 - a02 * a11
+    inv[1, 1] = a00 * a22 - a02 * a20
+    inv[1, 2] = a02 * a10 - a00 * a12
+    inv[2, 2] = a00 * a11 - a01 * a10
     if t.symmetric:
-        inv[..., 1, 0] = inv[..., 0, 1]
-        inv[..., 2, 0] = inv[..., 0, 2]
-        inv[..., 2, 1] = inv[..., 1, 2]
+        inv[1, 0] = inv[0, 1]
+        inv[2, 0] = inv[0, 2]
+        inv[2, 1] = inv[1, 2]
     else:
-        inv[..., 1, 0] = c01
-        inv[..., 2, 0] = c02
-        inv[..., 2, 1] = a01 * a20 - a00 * a21
-    inv /= det[..., None, None]
-    return TensorField(t.spec, inv, symmetric=t.symmetric)
+        inv[1, 0] = c01
+        inv[2, 0] = c02
+        inv[2, 1] = a01 * a20 - a00 * a21
+    inv /= det
+    return TensorField.from_components(t.spec, inv, symmetric=t.symmetric)
 
 
 def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
     spec = d.a.spec
     h = spec.spacing
     m = invert_3x3(d.a)
-    mf_vals = np.einsum("...ab,...b->...a", m.values, d.f.values)
+    mf_vals = _matvec(m, d.f.values)
     rhs_vals = np.zeros(spec.dims)
     for a in range(3):
         _face_diff_t(_face_avg(mf_vals[..., a], a), a, h[a], rhs_vals)
     rhs_vals = -rhs_vals
-    m_face = tuple(_face_avg(m.values[..., a, a], a) for a in range(3))
+    m_face = tuple(_face_avg(m.comp[a, a], a) for a in range(3))
     off = sum(
-        float(np.max(np.abs(m.values[..., a, b])))
+        float(np.max(np.abs(m.comp[a, b])))
         for a in range(3)
         for b in range(3)
         if a != b
@@ -248,7 +265,7 @@ def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
 def apply_operator(p: DarcyProblem, q: np.ndarray) -> np.ndarray:
     """One application of the assembled elliptic operator to raw values."""
     h = p.spec.spacing
-    mv = p.m.values
+    mc = p.m.comp
     out = np.zeros_like(q)
     if p.has_mixed:
         trans = [_transverse_diff(q, b, h[b]) for b in range(3)]
@@ -258,7 +275,7 @@ def apply_operator(p: DarcyProblem, q: np.ndarray) -> np.ndarray:
             cross = np.zeros_like(q)
             for b in range(3):
                 if b != a:
-                    cross += mv[..., a, b] * trans[b]
+                    cross += mc[a, b] * trans[b]
             flux += _face_avg(cross, a)
         _face_diff_t(flux, a, h[a], out)
     return out
@@ -449,7 +466,7 @@ def solve_darcy(p: DarcyProblem, tol: float = 1e-10, maxiter: int | None = None)
         q, iters, res, _ = _krylov(p, b, _cosine_preconditioner(p), method, name, tol, maxiter)
         _project(q)
     g = gradient_values(q, p.spec)
-    u = p.mf.values + np.einsum("...ab,...b->...a", p.m.values, g)
+    u = p.mf.values + _matvec(p.m, g)
     return DarcySolution(
         q=ScalarField(p.spec, q),
         u=VectorField(p.spec, u),
@@ -464,8 +481,8 @@ def solve_divcurl(d: DivCurlData, tol: float = 1e-10, maxiter: int | None = None
     Raises EllipticityError, with the cell and eigenvalue, when the symmetric
     part of the coefficient is not positive definite.
     """
-    v = d.a.values
-    sym = TensorField(d.a.spec, 0.5 * (v + v.swapaxes(-1, -2)), symmetric=True)
+    c = d.a.comp
+    sym = TensorField.from_components(d.a.spec, 0.5 * (c + c.swapaxes(0, 1)), symmetric=True)
     lam_min, cell = min_hessian_eigenvalue(sym)
     if lam_min <= 0.0:
         raise EllipticityError(
@@ -481,7 +498,7 @@ def recover_velocity(d: DivCurlData, q: ScalarField) -> VectorField:
     """u = M (f + grad q); by construction A u - f - grad q = 0 per cell."""
     m = invert_3x3(d.a)
     g = gradient_values(q.values, d.a.spec)
-    u = np.einsum("...ab,...b->...a", m.values, d.f.values + g)
+    u = _matvec(m, d.f.values + g)
     return VectorField(d.a.spec, u)
 
 
@@ -495,7 +512,7 @@ def verify_estimate(u: VectorField, d: DivCurlData, p) -> EstimateRatios:
     f_norm = lp_norm(curl(d.f), p)
     if f_norm == 0.0:
         return EstimateRatios(None, None)
-    au = VectorField(u.spec, np.einsum("...ab,...b->...a", d.a.values, u.values))
+    au = VectorField(u.spec, _matvec(d.a, u.values))
     return EstimateRatios(
         u_ratio=_w1p_norm(u, p) / f_norm,
         au_ratio=_w1p_norm(au, p) / f_norm,

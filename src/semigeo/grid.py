@@ -23,6 +23,7 @@ __all__ = [
     "jacobian",
     "divergence",
     "curl",
+    "cell_magnitude",
     "lp_norm",
     "sobolev_norm",
     "min_hessian_eigenvalue",
@@ -93,14 +94,18 @@ class GridSpec:
         return best
 
 
-def _frozen_array(values, shape) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _freeze(arr: np.ndarray, shape) -> np.ndarray:
+    """Check a field's own array and make it read-only, without copying."""
     if arr.shape != shape:
         raise ValueError(f"field values have shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("field values must be finite")
     arr.setflags(write=False)
     return arr
+
+
+def _frozen_array(values, shape) -> np.ndarray:
+    return _freeze(np.array(values, dtype=float), shape)
 
 
 @dataclass(frozen=True)
@@ -121,17 +126,48 @@ class VectorField:
         object.__setattr__(self, "values", _frozen_array(self.values, self.spec.dims + (3,)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TensorField:
+    """A 3x3 tensor per cell, stored component-major.
+
+    comp is one C-contiguous (3, 3, nx, ny, nz) array: comp[a, b] holds
+    component (a, b) of every cell contiguously, which is what the per-cell
+    kernels read and write.  values is a read-only (nx, ny, nz, 3, 3) view of
+    the same memory, indexed values[..., a, b] as before.
+    """
+
     spec: GridSpec
-    values: np.ndarray  # (nx, ny, nz, 3, 3)
+    comp: np.ndarray  # (3, 3, nx, ny, nz)
     symmetric: bool = False
 
-    def __post_init__(self):
-        arr = _frozen_array(self.values, self.spec.dims + (3, 3))
-        object.__setattr__(self, "values", arr)
-        if self.symmetric and not np.array_equal(arr, arr.swapaxes(-1, -2)):
+    def __init__(self, spec: GridSpec, values, symmetric: bool = False):
+        """values has shape (nx, ny, nz, 3, 3) and is copied."""
+        arr = np.asarray(values, dtype=float)
+        shape = spec.dims + (3, 3)
+        if arr.shape != shape:
+            raise ValueError(f"field values have shape {arr.shape}, expected {shape}")
+        self._own(spec, np.moveaxis(arr, (-2, -1), (0, 1)).copy(), symmetric)
+
+    @classmethod
+    def from_components(cls, spec: GridSpec, comp: np.ndarray,
+                        symmetric: bool = False) -> TensorField:
+        """Wrap a C-contiguous (3, 3, nx, ny, nz) array without copying; the
+        field takes it over and makes it read-only."""
+        field = cls.__new__(cls)
+        field._own(spec, np.ascontiguousarray(comp, dtype=float), symmetric)
+        return field
+
+    def _own(self, spec: GridSpec, comp: np.ndarray, symmetric: bool) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "comp", _freeze(comp, (3, 3) + spec.dims))
+        object.__setattr__(self, "symmetric", bool(symmetric))
+        if symmetric and not all(np.array_equal(comp[a, b], comp[b, a])
+                                 for a in range(3) for b in range(a + 1, 3)):
             raise ValueError("symmetric flag set but tensor values are not exactly symmetric")
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.moveaxis(self.comp, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -217,29 +253,27 @@ def hessian(s: ScalarField) -> TensorField:
     exactly symmetric.
     """
     h = s.spec.spacing
-    nx, ny, nz = s.spec.dims
-    out = np.empty((nx, ny, nz, 3, 3))
+    out = np.empty((3, 3) + s.spec.dims)
     for a in range(3):
-        out[..., a, a] = diff2(s.values, a, h[a])
+        out[a, a] = diff2(s.values, a, h[a])
     for a in range(3):
         da = diff(s.values, a, h[a])
         for b in range(a + 1, 3):
             mixed = diff(da, b, h[b])
-            out[..., a, b] = mixed
-            out[..., b, a] = mixed
-    return TensorField(s.spec, out, symmetric=True)
+            out[a, b] = mixed
+            out[b, a] = mixed
+    return TensorField.from_components(s.spec, out, symmetric=True)
 
 
 def jacobian(v: VectorField) -> TensorField:
     """Per-cell matrix of first derivatives, J[a, b] = d v_b / d x_a."""
     h = v.spec.spacing
-    nx, ny, nz = v.spec.dims
-    out = np.empty((nx, ny, nz, 3, 3))
+    out = np.empty((3, 3) + v.spec.dims)
     for a in range(3):
         d = diff(v.values, a, h[a])
         for b in range(3):
-            out[..., a, b] = d[..., b]
-    return TensorField(v.spec, out, symmetric=False)
+            out[a, b] = d[..., b]
+    return TensorField.from_components(v.spec, out, symmetric=False)
 
 
 def divergence(v: VectorField) -> ScalarField:
@@ -271,14 +305,43 @@ def curl(v: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 
+def sum_of_squares(terms) -> np.ndarray:
+    """Per-cell sum of the squares of a list of equally shaped arrays.
+
+    The terms are added in the order np.sum adds the elements of a contiguous
+    axis (pairwise summation): fewer than 8 left to right; otherwise 8 running
+    sums r_j += x_{j+8i}, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the remaining terms left to right.  So the result is bit for bit
+    np.sum(np.stack(terms, axis=-1)**2, axis=-1), without the stack.
+    """
+    k = len(terms)
+    if k < 8:
+        out, rest = terms[0] ** 2, terms[1:]
+    else:
+        r = [t**2 for t in terms[:8]]
+        for i in range(8, k - k % 8):
+            r[i % 8] += terms[i] ** 2
+        out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = terms[k - k % 8:]
+    for t in rest:
+        out += t**2
+    return out
+
+
 def _cell_magnitude(field) -> np.ndarray:
     if isinstance(field, ScalarField):
         return np.abs(field.values)
     if isinstance(field, VectorField):
         return np.sqrt(np.sum(field.values**2, axis=-1))
     if isinstance(field, TensorField):
-        return np.sqrt(np.sum(field.values**2, axis=(-2, -1)))
+        return np.sqrt(sum_of_squares([field.comp[a, b] for a in range(3) for b in range(3)]))
     raise TypeError(f"unsupported field type {type(field).__name__}")
+
+
+def cell_magnitude(field) -> ScalarField:
+    """Per-cell magnitude of a field (Frobenius for tensors).  Its lp_norm
+    equals the field's for every p, so several norms can share one."""
+    return ScalarField(field.spec, _cell_magnitude(field))
 
 
 def lp_norm(field, p) -> float:
@@ -293,47 +356,49 @@ def lp_norm(field, p) -> float:
     return float(np.sum(mag**p * vol) ** (1.0 / p))
 
 
-def _third_derivative_magnitude(hess: np.ndarray, spec: GridSpec) -> np.ndarray:
+def _third_derivative_magnitude(hess: TensorField) -> np.ndarray:
     """Per-cell magnitude over all 27 third derivatives: inward-shifted
-    centred differences of the Hessian entries.
+    centred differences of the Hessian entries, summed in the order
+    (direction, a, b).
 
-    Built in slabs of rows along axis 0, so the full 27-component stack never
-    exists at once; each cell sums the same components in the same order as a
-    whole-grid stack would.
+    Built in slabs of rows along axis 0, so the 27 differences of the whole
+    grid never exist at once.
     """
+    spec = hess.spec
     h = spec.spacing
+    c = hess.comp
     n0 = spec.dims[0]
-    rows = 8  # a slab's stack then holds 4 MB at 48^2 cells per row
+    rows = 8  # a slab's 27 differences then hold 4 MB at 48^2 cells per row
     mag = np.empty(spec.dims)
     for i0 in range(0, n0, rows):
         i1 = min(i0 + rows, n0)
         # diff_shifted along axis 0, restricted to rows i0..i1-1
         centre = np.clip(np.arange(i0, i1), 1, n0 - 2)
-        stack = np.stack(
-            [
-                (hess[centre + 1] - hess[centre - 1]) / (2.0 * h[0]),
-                diff_shifted(hess[i0:i1], 1, h[1]),
-                diff_shifted(hess[i0:i1], 2, h[2]),
-            ],
-            axis=-3,
+        slab = c[:, :, i0:i1]
+        per_direction = (
+            (c[:, :, centre + 1] - c[:, :, centre - 1]) / (2.0 * h[0]),
+            diff_shifted(slab, 3, h[1]),
+            diff_shifted(slab, 4, h[2]),
         )
-        mag[i0:i1] = np.sqrt(np.sum(stack**2, axis=(3, 4, 5)))
+        mag[i0:i1] = np.sqrt(sum_of_squares(
+            [d[a, b] for d in per_direction for a in range(3) for b in range(3)]))
     return mag
 
 
-def sobolev_norm(grad: VectorField, hess: TensorField, p) -> float:
-    """Discrete W^{3,p} norm of the gradient of a potential.
+def sobolev_norm(grad_lp: float, hess_lp: float, hess: TensorField, p) -> float:
+    """Discrete W^{3,p} norm of the gradient of a potential:
+    grad_lp + hess_lp + the L^p norm of the third derivatives built from hess,
+    with the per-cell magnitude taken over all tensor components.
 
-    grad and hess are the potential's stencil gradient and Hessian (a state's
-    grad_p and hess); the norm sums the L^p norms of grad, hess and the third
-    derivatives built from hess, with the per-cell magnitude taken over all
-    tensor components.
+    grad_lp and hess_lp are the lp_norm of the potential's stencil gradient
+    and Hessian (a state's grad_p and hess); callers pass them in because
+    they take other norms from the same magnitudes.
     """
-    spec = grad.spec
+    spec = hess.spec
     if min(spec.dims) < 5:
         raise ValueError(f"grid dims {spec.dims} too small for third derivatives (need >= 5)")
-    third = ScalarField(spec, _third_derivative_magnitude(hess.values, spec))
-    return lp_norm(grad, p) + lp_norm(hess, p) + lp_norm(third, p)
+    third = ScalarField(spec, _third_derivative_magnitude(hess))
+    return grad_lp + hess_lp + lp_norm(third, p)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +410,9 @@ def eigmin_symmetric(values: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each symmetric 3x3 matrix in a (..., 3, 3) array.
 
     Closed-form solve of the characteristic polynomial (trigonometric method);
-    exactly the diagonal minimum for diagonal matrices.
+    exactly the diagonal minimum for diagonal matrices.  Each component is
+    read once, as values[..., a, b]; on a TensorField's values view that is a
+    contiguous array.
     """
     a00 = values[..., 0, 0]
     a11 = values[..., 1, 1]

@@ -29,11 +29,13 @@ from .grid import (
     ScalarField,
     TensorField,
     VectorField,
+    cell_magnitude,
     gradient,
     hessian,
     lp_norm,
     min_hessian_eigenvalue,
     sobolev_norm,
+    sum_of_squares,
 )
 
 __all__ = [
@@ -169,7 +171,8 @@ def init_state(source, spec: GridSpec | None = None, *, time: float = 0.0,
 @dataclass(frozen=True)
 class SchemeConstants:
     """Scheme parameters; tau_star is indicative, computable only up to the
-    configured constants c_star and c_m."""
+    configured constants c_star and c_m.  norm_w3p0 is |grad P0|_{W^3,p} of the
+    state the constants were computed from, which run() records at step 0."""
 
     lambda0: float
     omega: float
@@ -179,6 +182,7 @@ class SchemeConstants:
     kappa: float
     tau_star: float
     p: float
+    norm_w3p0: float
 
 
 def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
@@ -199,22 +203,22 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
     volume_term = spec.volume ** (1.0 / p)
     rotation = VectorField(spec, apply_rotation(spec.cell_centers()))
     omega = lp_norm(rotation, p) + math.sqrt(2.0) * volume_term
-    grad_norm = sobolev_norm(s.grad_p, s.hess, p)
+    frob = cell_magnitude(s.hess)  # for |D2P|_p and |D2P|_inf
+    grad_norm = sobolev_norm(lp_norm(s.grad_p, p), lp_norm(frob, p), s.hess, p)
 
-    hv = s.hess.values
-    frob = np.sqrt(np.sum(hv**2, axis=(-2, -1)))
     alpha = 1.0 - 3.0 / p
     quotient = 0.0
     for a in range(3):
-        dn = np.sqrt(np.sum(np.diff(hv, axis=a) ** 2, axis=(-2, -1)))
+        d = np.diff(s.hess.comp, axis=2 + a)
+        dn = np.sqrt(sum_of_squares([d[i, j] for i in range(3) for j in range(3)]))
         quotient = max(quotient, float(np.max(dn)) / spec.spacing[a] ** alpha)
-    m_star = float(np.max(frob)) + quotient + s.lambda0 / 6.0
+    m_star = lp_norm(frob, np.inf) + quotient + s.lambda0 / 6.0
 
     kappa = (omega + 2.0 * c_star * volume_term) / (1.0 + 2.0 * c_star)
     tau_star = math.log1p(s.lambda0 / (6.0 * c_m * (kappa + grad_norm))) / (1.0 + 2.0 * c_star)
     return SchemeConstants(
         lambda0=s.lambda0, omega=omega, m_star=m_star, c_star=c_star,
-        c_m=c_m, kappa=kappa, tau_star=tau_star, p=p,
+        c_m=c_m, kappa=kappa, tau_star=tau_star, p=p, norm_w3p0=grad_norm,
     )
 
 
@@ -324,8 +328,10 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         observe=None) -> RunResult:
     """Execute the scheme, emitting one DiagnosticsRecord per cadence tick.
 
-    Early halts (convexity floor, solver failure, lost ellipticity) are
-    structured outcomes recorded in halt_reason, not exceptions.  The model
+    constants, when given, must be those of s0 (compute_constants(s0, ...)):
+    the step-0 record takes its W^{3,p} norm from them.  Early halts
+    (convexity floor, solver failure, lost ellipticity) are structured
+    outcomes recorded in halt_reason, not exceptions.  The model
     (see step) is assembled once per step; on recorded steps its data is
     reused for the estimate ratios.  Only the current state is kept:
     observe(j, state, sol) is called once for every state reached, with the
@@ -337,7 +343,7 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         constants = compute_constants(s0)
     epsilon, n_steps = _resolve_schedule(config, constants)
 
-    records = [emit_record(s0, None, constants, step=0)]
+    records = [emit_record(s0, None, constants, step=0, norm_w3p=constants.norm_w3p0)]
     halt_reason = "completed"
     state, j = s0, 0
     while j < n_steps:

@@ -32,3 +32,111 @@ def kf_inverse(c):
     vals[..., 1, 1] = c.f.values
     vals[..., 2, 2] = 1.0
     return TensorField(c.spec, vals, symmetric=True)
+
+
+# Row-major references: the per-cell tensor kernels as they were written for
+# tensors stored (nx, ny, nz, 3, 3), kept to check that the component-major
+# kernels compute the same values bit for bit.
+
+
+def row_major_eigmin_symmetric(values):
+    a00 = values[..., 0, 0]
+    a11 = values[..., 1, 1]
+    a22 = values[..., 2, 2]
+    a01 = values[..., 0, 1]
+    a02 = values[..., 0, 2]
+    a12 = values[..., 1, 2]
+
+    p1 = a01**2 + a02**2 + a12**2
+    q = (a00 + a11 + a22) / 3.0
+    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * p1
+    diag_min = np.minimum(np.minimum(a00, a11), a22)
+
+    p = np.sqrt(np.maximum(p2, 0.0) / 6.0)
+    safe = p > 0.0
+    ps = np.where(safe, p, 1.0)
+    b00 = (a00 - q) / ps
+    b11 = (a11 - q) / ps
+    b22 = (a22 - q) / ps
+    b01 = a01 / ps
+    b02 = a02 / ps
+    b12 = a12 / ps
+    detb = (
+        b00 * (b11 * b22 - b12 * b12)
+        - b01 * (b01 * b22 - b12 * b02)
+        + b02 * (b01 * b12 - b11 * b02)
+    )
+    r = np.clip(detb / 2.0, -1.0, 1.0)
+    phi = np.arccos(r) / 3.0
+    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    return np.where(p1 == 0.0, diag_min, np.where(safe, lam_min, q))
+
+
+def row_major_invert_3x3(v, symmetric):
+    a00, a01, a02 = v[..., 0, 0], v[..., 0, 1], v[..., 0, 2]
+    a10, a11, a12 = v[..., 1, 0], v[..., 1, 1], v[..., 1, 2]
+    a20, a21, a22 = v[..., 2, 0], v[..., 2, 1], v[..., 2, 2]
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    inv = np.empty_like(v)
+    inv[..., 0, 0] = c00
+    inv[..., 0, 1] = a02 * a21 - a01 * a22
+    inv[..., 0, 2] = a01 * a12 - a02 * a11
+    inv[..., 1, 1] = a00 * a22 - a02 * a20
+    inv[..., 1, 2] = a02 * a10 - a00 * a12
+    inv[..., 2, 2] = a00 * a11 - a01 * a10
+    if symmetric:
+        inv[..., 1, 0] = inv[..., 0, 1]
+        inv[..., 2, 0] = inv[..., 0, 2]
+        inv[..., 2, 1] = inv[..., 1, 2]
+    else:
+        inv[..., 1, 0] = c01
+        inv[..., 2, 0] = c02
+        inv[..., 2, 1] = a01 * a20 - a00 * a21
+    inv /= det[..., None, None]
+    return inv
+
+
+def row_major_apply_operator(mv, m_face, has_mixed, h, q):
+    """apply_operator on a row-major coefficient mv, with the face kernels as
+    they were (f / h and 0.5 * f each taken twice)."""
+
+    def sl(a, axis, idx):
+        s = [slice(None)] * a.ndim
+        s[axis] = idx
+        return tuple(s)
+
+    def face_diff(a, axis, h):
+        return (a[sl(a, axis, slice(1, None))] - a[sl(a, axis, slice(None, -1))]) / h
+
+    def face_diff_t(f, axis, h, out):
+        out[sl(out, axis, slice(1, None))] += f / h
+        out[sl(out, axis, slice(None, -1))] -= f / h
+
+    def face_avg(a, axis):
+        return 0.5 * (a[sl(a, axis, slice(1, None))] + a[sl(a, axis, slice(None, -1))])
+
+    def face_avg_t(f, axis, out):
+        out[sl(out, axis, slice(1, None))] += 0.5 * f
+        out[sl(out, axis, slice(None, -1))] += 0.5 * f
+
+    def transverse_diff(a, axis, h):
+        out = np.zeros_like(a)
+        face_avg_t(face_diff(a, axis, h), axis, out)
+        return out
+
+    out = np.zeros_like(q)
+    if has_mixed:
+        trans = [transverse_diff(q, b, h[b]) for b in range(3)]
+    for a in range(3):
+        flux = m_face[a] * face_diff(q, a, h[a])
+        if has_mixed:
+            cross = np.zeros_like(q)
+            for b in range(3):
+                if b != a:
+                    cross += mv[..., a, b] * trans[b]
+            flux += face_avg(cross, a)
+        face_diff_t(flux, a, h[a], out)
+    return out

@@ -255,6 +255,15 @@ class TestRunExperiment:
         assert "--grid --preset" in err
         assert main(["--sweep", str(sweep)]) == 0
 
+    def test_flag_given_twice(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--grid", "6", "--grid", "7", "--dt", "0.01", "--steps", "1",
+                     "--preset", "bogus", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert "error: --grid given twice" in err
+        assert any("unknown preset" in line for line in err)  # listed together
+        assert not out.exists()
+
     def test_sweep_missing_file(self, tmp_path, capsys):
         assert main(["--sweep", str(tmp_path / "missing.txt")]) == 2
         assert "cannot read sweep file" in capsys.readouterr().err

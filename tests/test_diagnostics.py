@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from semigeo.diagnostics import (
     pushforward_histogram,
     support_bound_check,
 )
-from semigeo.grid import GridSpec, ScalarField
+from semigeo.grid import GridSpec, ScalarField, VectorField, curl
 from semigeo.stepper import SchemeConfig, compute_constants, init_state, run
 
 
@@ -126,6 +128,17 @@ class TestCurlResidual:
     def test_minimum_grid(self):
         s = init_state("identity", make_spec(4))
         assert curl_residual(s) == 0.0
+
+    @pytest.mark.parametrize("dims", [(9, 7, 8), (5, 6, 7)])
+    def test_block_equals_curl_restricted(self, dims):
+        # a field with a nonzero curl, on an anisotropic grid; (5, 6, 7) has
+        # a one-cell-thick block
+        spec = GridSpec(dims=dims, extents=(1.0, 2.0, 0.5))
+        v = VectorField(spec, np.random.default_rng(31).standard_normal(dims + (3,)))
+        c = curl(v).values[2:-2, 2:-2, 2:-2]
+        want = float(np.max(np.sqrt(np.sum(c**2, axis=-1))))
+        assert want > 1.0
+        assert curl_residual(SimpleNamespace(spec=spec, grad_p=v)) == want
 
 
 class TestEmitRecord:

@@ -6,6 +6,7 @@ from semigeo.divcurl import (
     EllipticityError,
     SingularTensorError,
     SolverConvergenceError,
+    apply_operator,
     dense_operator,
     invert_3x3,
     recover_velocity,
@@ -23,6 +24,8 @@ from semigeo.grid import (
     gradient,
 )
 from semigeo.stepper import init_state, transport_data
+
+from conftest import row_major_apply_operator, row_major_invert_3x3
 
 
 def make_spec(n):
@@ -421,3 +424,46 @@ class TestNonSymmetricSolve:
         q_ref = dense_solve(p)
         rel = np.linalg.norm(sol.q.values - q_ref) / np.linalg.norm(q_ref)
         assert rel < 1e-9
+
+
+class TestRowMajorReference:
+    """The component-major kernels against their row-major originals, == ."""
+
+    def nonsymmetric(self, spec, rng):
+        raw = rng.standard_normal(spec.dims + (3, 3)) * 0.3
+        raw[..., 0, 0] += 2.0
+        raw[..., 1, 1] += 2.0
+        raw[..., 2, 2] += 2.0
+        return TensorField(spec, raw)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_invert(self, symmetric):
+        rng = np.random.default_rng(21)
+        spec = make_spec((5, 6, 7))
+        t = random_spd_tensor(spec, rng) if symmetric else self.nonsymmetric(spec, rng)
+        want = row_major_invert_3x3(np.ascontiguousarray(t.values), symmetric)
+        assert np.array_equal(invert_3x3(t).values, want)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_apply_operator_with_mixed_terms(self, symmetric):
+        rng = np.random.default_rng(22)
+        spec = GridSpec(dims=(5, 7, 6), extents=(1.0, 2.0, 0.5))
+        a = random_spd_tensor(spec, rng) if symmetric else self.nonsymmetric(spec, rng)
+        p = reduce_to_darcy(DivCurlData(a=a, f=VectorField(spec, rng.standard_normal(
+            spec.dims + (3,)))))
+        assert p.has_mixed
+        q = rng.standard_normal(spec.dims)
+        want = row_major_apply_operator(np.ascontiguousarray(p.m.values), p.m_face,
+                                        p.has_mixed, spec.spacing, q)
+        assert np.array_equal(apply_operator(p, q), want)
+
+    def test_velocity_is_einsum_over_row_major(self):
+        # u = M (f + grad q), summed as np.einsum summed it on a row-major M
+        rng = np.random.default_rng(23)
+        spec = make_spec((6, 5, 7))
+        d = DivCurlData(a=self.nonsymmetric(spec, rng),
+                        f=VectorField(spec, rng.standard_normal(spec.dims + (3,))))
+        q = ScalarField(spec, rng.standard_normal(spec.dims))
+        m = np.ascontiguousarray(invert_3x3(d.a).values)
+        want = np.einsum("...ab,...b->...a", m, d.f.values + gradient(q).values)
+        assert np.array_equal(recover_velocity(d, q).values, want)

@@ -16,7 +16,10 @@ from semigeo.grid import (
     lp_norm,
     min_hessian_eigenvalue,
     sobolev_norm,
+    sum_of_squares,
 )
+
+from conftest import row_major_eigmin_symmetric
 
 
 def make_spec(n=8, extents=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -261,13 +264,19 @@ class TestNorms:
             lp_norm(ScalarField(spec, np.ones(spec.dims)), 0.5)
 
 
+def w3p(s, p):
+    """sobolev_norm of a potential, from its stencil gradient and Hessian."""
+    hess = hessian(s)
+    return sobolev_norm(lp_norm(gradient(s), p), lp_norm(hess, p), hess, p)
+
+
 class TestSobolevNorm:
     def test_linear_potential(self):
         spec = make_spec(8)
         a = np.array([0.3, -1.1, 2.0])
         s = scalar_from(spec, lambda x, y, z: a[0] * x + a[1] * y + a[2] * z)
         want = np.linalg.norm(a) * spec.volume ** 0.25
-        assert np.isclose(sobolev_norm(gradient(s), hessian(s), 4), want, rtol=1e-12)
+        assert np.isclose(w3p(s, 4), want, rtol=1e-12)
 
     def test_quadratic_l2_of_gradient(self):
         # oracle: integral of |x|^2 over the unit cube is 1
@@ -280,8 +289,7 @@ class TestSobolevNorm:
         spec = make_spec(7)
         s = random_scalar(spec, rng)
         d = ScalarField(spec, 2.0 * s.values)
-        assert np.isclose(sobolev_norm(gradient(d), hessian(d), 4),
-                          2.0 * sobolev_norm(gradient(s), hessian(s), 4), rtol=1e-14)
+        assert np.isclose(w3p(d, 4), 2.0 * w3p(s, 4), rtol=1e-14)
 
     @pytest.mark.parametrize("dims", [(7, 6, 5), (17, 6, 5)])
     def test_bit_identical_to_whole_grid_stack(self, dims):
@@ -292,22 +300,23 @@ class TestSobolevNorm:
         s = random_scalar(spec, rng)
         h = spec.spacing
         hess = hessian(s)
-        third = np.stack([diff_shifted(hess.values, a, h[a]) for a in range(3)], axis=-3)
+        rows = np.ascontiguousarray(hess.values)  # the row-major (..., 3, 3) layout
+        third = np.stack([diff_shifted(rows, a, h[a]) for a in range(3)], axis=-3)
         for p in (4, np.inf):
             want = 0.0
-            for stack in (gradient(s).values, hess.values, third):
+            for stack in (gradient(s).values, rows, third):
                 mag = np.sqrt(np.sum(stack**2, axis=tuple(range(3, stack.ndim))))
                 if p == np.inf:
                     want += float(np.max(mag))
                 else:
                     want += float(np.sum(mag**4.0 * spec.cell_volume) ** 0.25)
-            assert sobolev_norm(gradient(s), hess, p) == want
+            assert w3p(s, p) == want
 
     def test_rejects_too_small_grid(self):
         spec = make_spec(4)
         s = ScalarField(spec, np.zeros(spec.dims))
         with pytest.raises(ValueError):
-            sobolev_norm(gradient(s), hessian(s), 2)
+            w3p(s, 2)
 
 
 class TestEigenvalues:
@@ -346,3 +355,76 @@ class TestEigenvalues:
         vals = np.tile(np.eye(3), spec.dims + (1, 1))
         with pytest.raises(ValueError):
             min_hessian_eigenvalue(TensorField(spec, vals, symmetric=False))
+
+
+def wide_range(rng, shape):
+    """Random values whose magnitudes span e^-10 .. e^10."""
+    return rng.standard_normal(shape) * np.exp(rng.uniform(-10.0, 10.0, shape))
+
+
+class TestComponentMajorLayout:
+    """Tensors are stored (3, 3, nx, ny, nz); values is a view in the old
+    (nx, ny, nz, 3, 3) layout, and every result equals the row-major one."""
+
+    @pytest.mark.parametrize("k", [3, 9, 27])
+    def test_sum_of_squares_is_np_sum(self, k):
+        rng = np.random.default_rng(k)
+        x = wide_range(rng, (6, 7, 5, k))
+        want = np.sum(x**2, axis=-1)
+        assert np.array_equal(sum_of_squares([x[..., j] for j in range(k)]), want)
+
+    @pytest.mark.parametrize("p", [2, 4, np.inf])
+    def test_tensor_lp_norm_is_row_major_sum(self, p):
+        rng = np.random.default_rng(11)
+        spec = make_spec((6, 7, 5), extents=(1.0, 2.0, 0.5))
+        t = TensorField(spec, wide_range(rng, spec.dims + (3, 3)))
+        mag = np.sqrt(np.sum(np.ascontiguousarray(t.values) ** 2, axis=(-2, -1)))
+        if p == np.inf:
+            want = float(np.max(mag))
+        else:
+            want = float(np.sum(mag**p * spec.cell_volume) ** (1.0 / p))
+        assert lp_norm(t, p) == want
+
+    def test_values_view(self):
+        rng = np.random.default_rng(12)
+        spec = make_spec((5, 6, 7))
+        rows = rng.standard_normal(spec.dims + (3, 3))
+        t = TensorField(spec, rows)
+        assert t.comp.shape == (3, 3) + spec.dims and t.comp.flags.c_contiguous
+        assert t.values.shape == spec.dims + (3, 3)
+        assert np.array_equal(t.values, rows)
+        assert t.values[4, 2, 6, 0, 2] == rows[4, 2, 6, 0, 2]
+        assert np.array_equal(t.values[..., 1, 2], t.comp[1, 2])
+        with pytest.raises(ValueError):
+            t.values[0, 0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            t.comp[0, 0, 0, 0, 0] = 1.0
+        rows[0, 0, 0, 0, 0] = 7.0  # the field copied its input
+        assert t.values[0, 0, 0, 0, 0] != 7.0
+
+    def test_row_major_input_equals_hessian(self):
+        spec = make_spec((6, 7, 8))
+        h = hessian(random_scalar(spec, np.random.default_rng(13)))
+        again = TensorField(spec, np.ascontiguousarray(h.values), symmetric=True)
+        assert np.array_equal(again.comp, h.comp)
+        assert np.array_equal(again.values, h.values)
+
+    def test_from_components_checks_symmetry(self):
+        spec = make_spec(4)
+        for mirrored in (False, True):
+            comp = np.zeros((3, 3) + spec.dims)
+            comp[1, 2] = 1.0
+            if mirrored:
+                comp[2, 1] = 1.0
+                assert TensorField.from_components(spec, comp, symmetric=True).symmetric
+            else:
+                with pytest.raises(ValueError):
+                    TensorField.from_components(spec, comp, symmetric=True)
+
+    def test_eigmin_matches_row_major_reference(self):
+        rng = np.random.default_rng(14)
+        spec = make_spec((6, 5, 7))
+        raw = wide_range(rng, spec.dims + (3, 3))
+        t = TensorField(spec, 0.5 * (raw + raw.swapaxes(-1, -2)), symmetric=True)
+        want = row_major_eigmin_symmetric(np.ascontiguousarray(t.values))
+        assert np.array_equal(eigmin_symmetric(t.values), want)

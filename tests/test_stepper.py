@@ -6,13 +6,22 @@ import numpy as np
 import pytest
 
 import semigeo.coriolis
+import semigeo.diagnostics
 import semigeo.divcurl
 import semigeo.grid
 import semigeo.stepper
 from semigeo.coriolis import coriolis_transport_data, linear_coriolis
 from semigeo.diagnostics import emit_record
 from semigeo.divcurl import apply_operator, reduce_to_darcy
-from semigeo.grid import GridSpec, ScalarField, curl, gradient, hessian, sobolev_norm
+from semigeo.grid import (
+    GridSpec,
+    ScalarField,
+    curl,
+    gradient,
+    hessian,
+    lp_norm,
+    sobolev_norm,
+)
 from semigeo.stepper import (
     ConvexityError,
     SchemeConfig,
@@ -72,8 +81,8 @@ class TestComputeConstants:
         s = init_state("identity", make_spec(8))
         c = compute_constants(s, p=4.0, c_star=1.0, c_m=1.0)
         assert c.kappa == pytest.approx((c.omega + 2.0) / 3.0, rel=1e-13)
-        grad_norm = c.kappa  # not exposed; recompute tau from its definition
-        grad_norm = sobolev_norm(s.grad_p, s.hess, 4.0)
+        grad_norm = sobolev_norm(lp_norm(s.grad_p, 4.0), lp_norm(s.hess, 4.0), s.hess, 4.0)
+        assert c.norm_w3p0 == grad_norm
         want = np.log1p(c.lambda0 / (6.0 * (c.kappa + grad_norm))) / 3.0
         assert c.tau_star == pytest.approx(want, rel=1e-13)
 
@@ -103,7 +112,8 @@ class TestComputeConstants:
         spec = GridSpec(dims=(6, 7, 9), origin=(-0.3, 0.2, 1.0), extents=(1.0, 2.0, 0.5))
         x = spec.cell_centers()
         horizontal = ScalarField(spec, 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2))
-        want = sobolev_norm(gradient(horizontal), hessian(horizontal), p)
+        grad, hess = gradient(horizontal), hessian(horizontal)
+        want = sobolev_norm(lp_norm(grad, p), lp_norm(hess, p), hess, p)
         omega = compute_constants(init_state("identity", spec), p=p).omega
         assert omega == pytest.approx(want, rel=1e-10)
 
@@ -284,6 +294,25 @@ class TestRun:
         assert [t for _, t, _ in seen[:-1]] == calls
         assert [none for _, _, none in seen] == [False] * 5 + [True]
         assert all(r.est_ratio_u is not None for r in res.records[1:])
+
+    def test_w3p_norm_once_per_recorded_state(self, monkeypatch):
+        # compute_constants takes s0's norm and the step-0 record reuses it:
+        # one call for s0, one for the recorded state after step 1
+        s = init_state("bump", make_spec(6), delta=0.005, k=1)
+        calls = []
+        norm = semigeo.grid.sobolev_norm
+
+        def counted(*args):
+            calls.append(args[-1])
+            return norm(*args)
+
+        for module in (semigeo.grid, semigeo.stepper, semigeo.diagnostics):
+            monkeypatch.setattr(module, "sobolev_norm", counted)
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=1))
+        assert len(calls) == 2
+        assert res.records[0].norm_w3p == res.constants.norm_w3p0
+        monkeypatch.undo()
+        assert res.records[0].norm_w3p == emit_record(s, None, res.constants).norm_w3p
 
     def test_ratios_only_on_recorded_steps(self, monkeypatch):
         s = init_state("bump", make_spec(6), delta=0.005, k=1)
