@@ -9,9 +9,12 @@ are deterministic functions of the configuration.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import math
 import shlex
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -141,6 +144,9 @@ def _parse_floats(text, count, label, violations):
     if len(vals) != count:
         violations.append(f"{label}: expected {count} comma-separated values, got {len(vals)}")
         return None
+    if not all(math.isfinite(v) for v in vals):
+        violations.append(f"{label}: values must be finite, got {text!r}")
+        return None
     return vals
 
 
@@ -204,6 +210,9 @@ def _read_config_file(path, violations) -> dict:
         if key not in _FLAG_KEYS and key != "origin":
             violations.append(f"{path}:{lineno}: unknown key {key!r}")
             continue
+        if key in kv:
+            violations.append(f"{path}:{lineno}: key {key!r} given twice")
+            continue
         kv[key] = value.strip()
     return kv
 
@@ -263,7 +272,7 @@ def parse_config(argv, config_file=None) -> RunConfig:
     if quad is not None and any(v <= 0 for v in quad):
         violations.append(f"quad: diagonal entries must be positive, got {quad}")
 
-    def get_float(key, default, positive=False):
+    def get_float(key, default, positive=False, infinite=False):
         if key not in kv:
             return default
         try:
@@ -271,7 +280,9 @@ def parse_config(argv, config_file=None) -> RunConfig:
         except ValueError:
             violations.append(f"{key}: cannot parse {kv[key]!r} as a number")
             return default
-        if positive and v <= 0:
+        if math.isnan(v) or (math.isinf(v) and not infinite):
+            violations.append(f"{key}: must be finite, got {kv[key]!r}")
+        elif positive and v <= 0:
             violations.append(f"{key}: must be positive, got {v}")
         return v
 
@@ -294,7 +305,7 @@ def parse_config(argv, config_file=None) -> RunConfig:
     tmax = get_float("tmax", None, positive=True)
     auto_tau = str(get("auto-tau", "false")).lower() in ("true", "1", "yes")
     strict = str(get("strict", "false")).lower() in ("true", "1", "yes")
-    p = get_float("p", 4.0)
+    p = get_float("p", 4.0, infinite=True)  # inf selects the L^inf norm
     if p <= 3.0:
         violations.append(f"p: Lebesgue exponent must exceed 3, got {p}")
     c_star = get_float("cstar", 1.0, positive=True)
@@ -436,6 +447,55 @@ def _build_coriolis(cfg, spec):
     return make_coriolis_field(ScalarField(spec, values))
 
 
+# glibc's mallopt parameters, and the largest mmap threshold it accepts:
+# 4 MiB * sizeof(long), 32 MiB on 64-bit.  mallopt takes a C int, so every
+# value must fit one; a larger one wraps.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_HEAP_SETTINGS = (
+    (_M_MMAP_THRESHOLD, 4 * 2**20 * ctypes.sizeof(ctypes.c_long)),
+    (_M_TRIM_THRESHOLD, 2**31 - 1),
+)
+
+
+def _glibc_malloc():
+    """glibc's (mallopt, malloc_trim), or None where the C library has no such
+    functions."""
+    try:
+        libc = ctypes.CDLL(None)
+        mallopt, malloc_trim = libc.mallopt, libc.malloc_trim
+    except (OSError, TypeError, AttributeError):
+        return None
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    malloc_trim.argtypes, malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return mallopt, malloc_trim
+
+
+@contextmanager
+def _pinned_heap():
+    """Keep a run's freed memory in the heap while it runs; hand it back after.
+
+    A step allocates and frees whole-grid arrays by the dozen.  By default
+    glibc serves the larger ones with fresh mmaps and returns freed heap tops
+    to the kernel, so every step faults the same pages in again.  Here arrays
+    under the mmap threshold come from the heap and stay there until the block
+    exits, also by an exception, when malloc_trim returns what is free; what
+    the caller still holds then is freed into the heap after it, for the next
+    run to reuse.  glibc cannot restore its dynamic thresholds, so the setting
+    holds for the rest of the process.  Elsewhere this does nothing.
+    """
+    malloc = _glibc_malloc()
+    if malloc is None:
+        yield
+        return
+    mallopt, malloc_trim = malloc
+    for param, value in _HEAP_SETTINGS:
+        mallopt(param, value)
+    try:
+        yield
+    finally:
+        malloc_trim(0)
+
+
 def run_experiment(cfg: RunConfig) -> int:
     """Execute one configured run and write its artifacts.
 
@@ -443,66 +503,67 @@ def run_experiment(cfg: RunConfig) -> int:
     convexity halt before the horizon when strict mode is on.  Raises
     UsageError, before any artifact is written, for a preset or Coriolis field the grid rejects.
     """
-    spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
-    preset_params = {}
-    if cfg.preset == "tilt" and cfg.tilt is not None:
-        preset_params["tilt"] = cfg.tilt
-    if cfg.preset == "quadratic" and cfg.quad is not None:
-        preset_params["quad"] = cfg.quad
-    if cfg.preset == "bump":
-        preset_params["delta"] = cfg.bump_delta
-        preset_params["k"] = cfg.bump_k
-    violations = []
-    try:
-        state = init_state(cfg.preset, spec, **preset_params)
-    except ConvexityError as err:
-        violations.append(f"preset: {err}")
-    try:
-        field = _build_coriolis(cfg, spec)
-    except (OSError, ValueError) as err:
-        violations.append(f"coriolis: {err}")
-    if violations:
-        raise UsageError(violations)
-    constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
+    with _pinned_heap():
+        spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
+        preset_params = {}
+        if cfg.preset == "tilt" and cfg.tilt is not None:
+            preset_params["tilt"] = cfg.tilt
+        if cfg.preset == "quadratic" and cfg.quad is not None:
+            preset_params["quad"] = cfg.quad
+        if cfg.preset == "bump":
+            preset_params["delta"] = cfg.bump_delta
+            preset_params["k"] = cfg.bump_k
+        violations = []
+        try:
+            state = init_state(cfg.preset, spec, **preset_params)
+        except ConvexityError as err:
+            violations.append(f"preset: {err}")
+        try:
+            field = _build_coriolis(cfg, spec)
+        except (OSError, ValueError) as err:
+            violations.append(f"coriolis: {err}")
+        if violations:
+            raise UsageError(violations)
+        constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
 
-    scheme = SchemeConfig(
-        epsilon=cfg.dt, n_steps=cfg.steps, horizon=cfg.tmax,
-        auto_horizon=cfg.auto_tau, tol=cfg.tol, maxiter=cfg.maxiter,
-        record_every=cfg.log_every,
-    )
-    # passed even when it is run()'s default: a default argument is bound once,
-    # when run is defined, so a profiler that rebinds transport_data would miss it
-    model = transport_data if field is None else partial(coriolis_transport_data, c=field)
+        scheme = SchemeConfig(
+            epsilon=cfg.dt, n_steps=cfg.steps, horizon=cfg.tmax,
+            auto_horizon=cfg.auto_tau, tol=cfg.tol, maxiter=cfg.maxiter,
+            record_every=cfg.log_every,
+        )
+        # passed even when it is run()'s default: a default argument is bound once,
+        # when run is defined, so a profiler that rebinds transport_data would miss it
+        model = transport_data if field is None else partial(coriolis_transport_data, c=field)
 
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
 
-    def write_snapshot(j, st, sol):
-        if j > 0 and j % cfg.snap_every == 0:
-            u = sol.u.values if sol is not None else np.zeros(spec.dims + (3,))
-            write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j, spec)
+        def write_snapshot(j, st, sol):
+            if j > 0 and j % cfg.snap_every == 0:
+                u = sol.u.values if sol is not None else np.zeros(spec.dims + (3,))
+                write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j, spec)
 
-    result = run(state, scheme, constants=constants, model=model,
-                 observe=write_snapshot if cfg.emit_fields else None)
-    if cfg.emit_csv:
-        write_series_csv(out / "series.csv", result.records)
+        result = run(state, scheme, constants=constants, model=model,
+                     observe=write_snapshot if cfg.emit_fields else None)
+        if cfg.emit_csv:
+            write_series_csv(out / "series.csv", result.records)
 
-    scheme_constants = asdict(result.constants)
-    del scheme_constants["norm_w3p0"]  # a norm of the state, in series.csv's step-0 row
-    meta = {
-        "config": cfg.key_values(),
-        "constants": scheme_constants,
-        "epsilon": result.epsilon,
-        "n_steps_requested": result.n_steps,
-        "steps_completed": result.steps_completed,
-        "halt_reason": result.halt_reason,
-    }
-    (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        scheme_constants = asdict(result.constants)
+        del scheme_constants["norm_w3p0"]  # a norm of the state, in series.csv's step-0 row
+        meta = {
+            "config": cfg.key_values(),
+            "constants": scheme_constants,
+            "epsilon": result.epsilon,
+            "n_steps_requested": result.n_steps,
+            "steps_completed": result.steps_completed,
+            "halt_reason": result.halt_reason,
+        }
+        (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
-    completed = result.halt_reason == "completed"
-    if cfg.strict and not completed:
-        return 1
-    return 0
+        completed = result.halt_reason == "completed"
+        if cfg.strict and not completed:
+            return 1
+        return 0
 
 
 def main(argv=None) -> int:

@@ -312,7 +312,8 @@ def sum_of_squares(terms) -> np.ndarray:
     axis (pairwise summation): fewer than 8 left to right; otherwise 8 running
     sums r_j += x_{j+8i}, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
     then the remaining terms left to right.  So the result is bit for bit
-    np.sum(np.stack(terms, axis=-1)**2, axis=-1), without the stack.
+    np.sum(np.stack(terms, axis=-1)**2, axis=-1), without the stack.  The
+    terms are only read, so one array may stand for several of them.
     """
     k = len(terms)
     if k < 8:
@@ -326,6 +327,15 @@ def sum_of_squares(terms) -> np.ndarray:
     for t in rest:
         out += t**2
     return out
+
+
+def symmetric_components(comp: np.ndarray, op) -> list:
+    """op(comp[a, b]) for the nine components (a, b) of a symmetric tensor, in
+    row order (0,0), (0,1), ..., (2,2).  op runs on the six entries with
+    a <= b only; each result also stands for its mirror, to which an
+    elementwise op maps the same bits."""
+    d = {(a, b): op(comp[a, b]) for a in range(3) for b in range(a, 3)}
+    return [d[min(a, b), max(a, b)] for a in range(3) for b in range(3)]
 
 
 def _cell_magnitude(field) -> np.ndarray:
@@ -359,41 +369,44 @@ def lp_norm(field, p) -> float:
 def _third_derivative_magnitude(hess: TensorField) -> np.ndarray:
     """Per-cell magnitude over all 27 third derivatives: inward-shifted
     centred differences of the Hessian entries, summed in the order
-    (direction, a, b).
+    (direction, a, b).  Only the six distinct entries of the symmetric
+    Hessian are differenced per direction.
 
-    Built in slabs of rows along axis 0, so the 27 differences of the whole
+    Built in slabs of rows along axis 0, so the differences of the whole
     grid never exist at once.
     """
     spec = hess.spec
     h = spec.spacing
     c = hess.comp
     n0 = spec.dims[0]
-    rows = 8  # a slab's 27 differences then hold 4 MB at 48^2 cells per row
+    rows = 8  # a slab's 18 distinct differences then hold 2.6 MB at 48^2 cells per row
     mag = np.empty(spec.dims)
     for i0 in range(0, n0, rows):
         i1 = min(i0 + rows, n0)
         # diff_shifted along axis 0, restricted to rows i0..i1-1
         centre = np.clip(np.arange(i0, i1), 1, n0 - 2)
-        slab = c[:, :, i0:i1]
         per_direction = (
-            (c[:, :, centre + 1] - c[:, :, centre - 1]) / (2.0 * h[0]),
-            diff_shifted(slab, 3, h[1]),
-            diff_shifted(slab, 4, h[2]),
+            lambda e: (e[centre + 1] - e[centre - 1]) / (2.0 * h[0]),
+            lambda e: diff_shifted(e[i0:i1], 1, h[1]),
+            lambda e: diff_shifted(e[i0:i1], 2, h[2]),
         )
         mag[i0:i1] = np.sqrt(sum_of_squares(
-            [d[a, b] for d in per_direction for a in range(3) for b in range(3)]))
+            [d for op in per_direction for d in symmetric_components(c, op)]))
     return mag
 
 
 def sobolev_norm(grad_lp: float, hess_lp: float, hess: TensorField, p) -> float:
     """Discrete W^{3,p} norm of the gradient of a potential:
     grad_lp + hess_lp + the L^p norm of the third derivatives built from hess,
-    with the per-cell magnitude taken over all tensor components.
+    with the per-cell magnitude taken over all tensor components.  hess must
+    be flagged symmetric, as a stencil Hessian is.
 
     grad_lp and hess_lp are the lp_norm of the potential's stencil gradient
     and Hessian (a state's grad_p and hess); callers pass them in because
     they take other norms from the same magnitudes.
     """
+    if not hess.symmetric:
+        raise ValueError("sobolev_norm requires a symmetric Hessian field")
     spec = hess.spec
     if min(spec.dims) < 5:
         raise ValueError(f"grid dims {spec.dims} too small for third derivatives (need >= 5)")

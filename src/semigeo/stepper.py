@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .grid import (
     min_hessian_eigenvalue,
     sobolev_norm,
     sum_of_squares,
+    symmetric_components,
 )
 
 __all__ = [
@@ -209,8 +211,7 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
     alpha = 1.0 - 3.0 / p
     quotient = 0.0
     for a in range(3):
-        d = np.diff(s.hess.comp, axis=2 + a)
-        dn = np.sqrt(sum_of_squares([d[i, j] for i in range(3) for j in range(3)]))
+        dn = np.sqrt(sum_of_squares(symmetric_components(s.hess.comp, partial(np.diff, axis=a))))
         quotient = max(quotient, float(np.max(dn)) / spec.spacing[a] ** alpha)
     m_star = lp_norm(frob, np.inf) + quotient + s.lambda0 / 6.0
 

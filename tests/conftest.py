@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semigeo.grid import TensorField
+from semigeo.grid import TensorField, diff_shifted
 from semigeo.stepper import run
 
 
@@ -140,3 +140,13 @@ def row_major_apply_operator(mv, m_face, has_mixed, h, q):
             flux += face_avg(cross, a)
         face_diff_t(flux, a, h[a], out)
     return out
+
+
+def all_27_third_derivative_magnitude(hess):
+    """Per-cell magnitude over the 27 third derivatives of a Hessian field,
+    every entry differenced on its own (mirrors too) over the whole grid, the
+    squares summed in (direction, a, b) order."""
+    h = hess.spec.spacing
+    d = np.stack([diff_shifted(hess.comp, 2 + k, h[k]) for k in range(3)])
+    terms = np.ascontiguousarray(np.moveaxis(d.reshape((27,) + hess.spec.dims), 0, -1))
+    return np.sqrt(np.sum(terms**2, axis=-1))

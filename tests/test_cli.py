@@ -1,11 +1,14 @@
+import ctypes
 import json
+import resource
 
 import numpy as np
 import pytest
 
+import semigeo.cli
 from semigeo.cli import CSV_COLUMNS, UsageError, main, parse_config
 from semigeo.grid import GridSpec
-from semigeo.stepper import SchemeConfig, init_state, step
+from semigeo.stepper import SchemeConfig, init_state, run, step
 
 
 def vtk_block(text, header, count):
@@ -66,6 +69,17 @@ class TestParseConfig:
         with pytest.raises(UsageError) as err:
             parse_config(["--config", str(cfile)])
         assert any("wibble" in v for v in err.value.violations)
+
+    def test_config_file_key_given_twice(self, tmp_path):
+        cfile = tmp_path / "run.cfg"
+        cfile.write_text("grid=6\ndt=0.01\nsteps=1\ngrid=7\nwibble=1\n")
+        with pytest.raises(UsageError) as err:
+            parse_config(["--config", str(cfile)])
+        assert err.value.violations == [f"{cfile}:4: key 'grid' given twice",
+                                        f"{cfile}:5: unknown key 'wibble'"]
+
+    def test_p_inf_selects_linf(self):
+        assert parse_config(["--p", "inf", "--dt", "0.01", "--steps", "1"]).p == np.inf
 
     def test_echo_round_trip(self):
         for emit in ("csv,fields", "fields"):
@@ -216,6 +230,28 @@ class TestRunExperiment:
         assert err.startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("inputs, key", [
+        ("--p nan", "p"),
+        ("--dt nan", "dt"),
+        ("--dt inf", "dt"),
+        ("--extent nan,1,1", "extent"),
+        ("--origin nan,0,0", "origin"),
+        ("--tilt nan,0,0 --preset tilt", "tilt"),
+        ("--quad inf,1,1 --preset quadratic", "quad"),
+        ("--cstar nan", "cstar"),
+        ("--tol nan", "tol"),
+        ("--cm -inf", "cm"),
+    ])
+    def test_non_finite_number_is_usage_error(self, tmp_path, capsys, inputs, key):
+        out = tmp_path / "out"
+        argv = inputs.split() + ["--grid", "6", "--steps", "1", "--out", str(out)]
+        if key != "dt":
+            argv += ["--dt", "0.01"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: ") and "finite" in err[0]
+        assert not out.exists()
+
     def test_lost_coriolis_dominance_is_a_halt(self, tmp_path):
         argv = ["--grid", "8", "--coriolis", "profile:5", "--dt", "0.01", "--steps", "3",
                 "--out", str(tmp_path / "h")]
@@ -279,3 +315,52 @@ class TestRunExperiment:
         err = capsys.readouterr().err
         assert f"{sweep}:1: a sweep line cannot name --sweep" in err
         assert not (tmp_path / "s1").exists()
+
+
+malloc = semigeo.cli._glibc_malloc()
+needs_mallopt = pytest.mark.skipif(malloc is None, reason="the C library has no mallopt")
+
+
+class TestPinnedHeap:
+    @needs_mallopt
+    def test_settings_accepted(self):
+        # mallopt takes a C int; a value that wraps would be set as another
+        mallopt, _ = malloc
+        for param, value in semigeo.cli._HEAP_SETTINGS:
+            assert ctypes.c_int(value).value == value
+            assert mallopt(param, value) == 1
+
+    @needs_mallopt
+    def test_steps_fault_in_no_new_pages(self):
+        # after two steps the heap holds every array a step needs
+        s = init_state("bump", GridSpec(dims=(32, 32, 32)), delta=0.01, k=1)
+        faults = []
+        with semigeo.cli._pinned_heap():
+            run(s, SchemeConfig(epsilon=0.001, n_steps=6),
+                observe=lambda j, st, sol: faults.append(
+                    resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+        assert len(faults) == 7
+        assert faults[-1] - faults[2] < 100
+
+    def test_trim_also_when_the_run_raises(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(semigeo.cli, "_glibc_malloc", lambda: (
+            lambda param, value: calls.append(("mallopt", param, value)) or 1,
+            lambda pad: calls.append(("malloc_trim", pad)) or 1))
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(semigeo.cli, "run", fail)
+        cfg = parse_config(["--grid", "6", "--dt", "0.01", "--steps", "1",
+                            "--out", str(tmp_path / "out")])
+        with pytest.raises(RuntimeError):
+            semigeo.cli.run_experiment(cfg)
+        assert calls == [("mallopt", -3, 4 * 2**20 * ctypes.sizeof(ctypes.c_long)),
+                         ("mallopt", -1, 2**31 - 1), ("malloc_trim", 0)]
+
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(semigeo.cli, "_glibc_malloc", lambda: None)
+        out = tmp_path / "out"
+        assert main(["--grid", "6", "--dt", "0.01", "--steps", "1", "--out", str(out)]) == 0
+        assert (out / "series.csv").exists()

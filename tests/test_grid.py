@@ -6,6 +6,7 @@ from semigeo.grid import (
     ScalarField,
     TensorField,
     VectorField,
+    _third_derivative_magnitude,
     curl,
     diff_shifted,
     divergence,
@@ -19,7 +20,7 @@ from semigeo.grid import (
     sum_of_squares,
 )
 
-from conftest import row_major_eigmin_symmetric
+from conftest import all_27_third_derivative_magnitude, row_major_eigmin_symmetric
 
 
 def make_spec(n=8, extents=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -317,6 +318,29 @@ class TestSobolevNorm:
         s = ScalarField(spec, np.zeros(spec.dims))
         with pytest.raises(ValueError):
             w3p(s, 2)
+
+    @pytest.mark.parametrize("dims", [(7, 6, 5), (17, 6, 5)])
+    def test_third_derivatives_equal_all_27_differences(self, dims):
+        # the six distinct entries per direction stand for all nine; random
+        # symmetric entries spanning e^-10..e^10, and a stencil Hessian
+        rng = np.random.default_rng(21)
+        spec = make_spec(dims, extents=(1.0, 2.0, 0.5))
+        comp = wide_range(rng, (3, 3) + spec.dims)
+        for a in range(3):
+            for b in range(a):
+                comp[a, b] = comp[b, a]
+        for hess in (TensorField.from_components(spec, comp, symmetric=True),
+                     hessian(random_scalar(spec, rng))):
+            assert np.array_equal(_third_derivative_magnitude(hess),
+                                  all_27_third_derivative_magnitude(hess))
+
+    def test_rejects_unflagged_hessian(self):
+        # the mirrors are reused, so a tensor not known to be symmetric is refused
+        spec = make_spec(6)
+        hess = hessian(random_scalar(spec, np.random.default_rng(22)))
+        loose = TensorField(spec, hess.values, symmetric=False)
+        with pytest.raises(ValueError, match="symmetric"):
+            sobolev_norm(1.0, 1.0, loose, 4.0)
 
 
 class TestEigenvalues:

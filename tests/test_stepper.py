@@ -86,6 +86,21 @@ class TestComputeConstants:
         want = np.log1p(c.lambda0 / (6.0 * (c.kappa + grad_norm))) / 3.0
         assert c.tau_star == pytest.approx(want, rel=1e-13)
 
+    def test_m_star_holder_quotient_over_all_nine_components(self):
+        # oracle: the quotient from all nine differenced Hessian entries
+        spec = make_spec((7, 8, 6))
+        x = spec.cell_centers()
+        noise = 1e-4 * np.random.default_rng(23).standard_normal(spec.dims)
+        s = init_state(0.5 * np.sum(x**2, axis=-1) + noise, spec)
+        c = compute_constants(s, p=4.0)
+        alpha = 1.0 - 3.0 / 4.0
+        quotient = 0.0
+        for a in range(3):
+            d = np.ascontiguousarray(np.moveaxis(np.diff(s.hess.comp, axis=2 + a), (0, 1), (-2, -1)))
+            dn = np.sqrt(np.sum(d.reshape(d.shape[:3] + (9,)) ** 2, axis=-1))
+            quotient = max(quotient, float(np.max(dn)) / spec.spacing[a] ** alpha)
+        assert c.m_star == lp_norm(s.hess, np.inf) + quotient + s.lambda0 / 6.0
+
     def test_tau_monotone_in_lambda0(self):
         spec = make_spec(8)
         taus = []
