@@ -14,8 +14,9 @@ import json
 import math
 import shlex
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -39,6 +40,7 @@ from .stepper import (
 
 __all__ = ["UsageError", "RunConfig", "parse_config", "run_experiment", "main"]
 
+# the DiagnosticsRecord fields in order, a tuple spread over its columns
 CSV_COLUMNS = (
     "step,time,energy,l2_gradP,lp_gradP,linf_gradP,w3p_gradP,lambda_min,"
     "lambda_argmin_i,lambda_argmin_j,lambda_argmin_k,curl_residual,"
@@ -46,11 +48,8 @@ CSV_COLUMNS = (
     "u_max,solver_iters,solver_residual,est_ratio_u,est_ratio_Au"
 )
 
-_FLAG_KEYS = (
-    "grid", "extent", "preset", "tilt", "quad", "bump-delta", "bump-k",
-    "dt", "steps", "tmax", "auto-tau", "p", "cstar", "cm", "coriolis",
-    "tol", "maxiter", "out", "emit", "snap-every", "log-every", "strict",
-)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_ARTIFACTS = ("csv", "fields")
 
 
 class UsageError(ValueError):
@@ -63,97 +62,189 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    dims: tuple
-    extents: tuple
-    origin: tuple
-    preset: str
-    tilt: tuple | None
-    quad: tuple | None
-    bump_delta: float
-    bump_k: int
-    dt: float | None
-    steps: int | None
-    tmax: float | None
-    auto_tau: bool
-    p: float
-    c_star: float
-    c_m: float
-    coriolis_mode: str  # off | const | profile | file
-    coriolis_value: float | None
-    coriolis_path: str | None
-    tol: float
-    maxiter: int | None
-    out_dir: str
-    emit_csv: bool
-    emit_fields: bool
-    snap_every: int
-    log_every: int
-    strict: bool
+    dims: tuple = (16, 16, 16)
+    extents: tuple = (1.0, 1.0, 1.0)
+    origin: tuple = (0.0, 0.0, 0.0)
+    preset: str = "identity"
+    tilt: tuple | None = None
+    quad: tuple | None = None
+    bump_delta: float = 0.01
+    bump_k: int = 1
+    dt: float | None = None
+    steps: int | None = None
+    tmax: float | None = None
+    auto_tau: bool = False
+    strict: bool = False
+    p: float = 4.0  # inf selects the L^inf norm
+    c_star: float = 1.0
+    c_m: float = 1.0
+    tol: float = 1e-10
+    maxiter: int | None = None
+    out_dir: str = "out"
+    snap_every: int = 10
+    log_every: int = 1
+    emit: tuple = ("csv",)  # the artifacts to write, in _ARTIFACTS order
+    coriolis: tuple = ("off", None)  # off, const F0, profile DELTA or file PATH
 
     def key_values(self) -> dict:
         """Flat key=value echo that parse_config accepts back."""
-        kv = {
-            "grid": ",".join(str(n) for n in self.dims),
-            "extent": ",".join(repr(v) for v in self.extents),
-            "origin": ",".join(repr(v) for v in self.origin),
-            "preset": self.preset,
-            "bump-delta": repr(self.bump_delta),
-            "bump-k": str(self.bump_k),
-            "p": repr(self.p),
-            "cstar": repr(self.c_star),
-            "cm": repr(self.c_m),
-            "tol": repr(self.tol),
-            "out": self.out_dir,
-            "emit": ",".join(item for item, on in (("csv", self.emit_csv),
-                                                   ("fields", self.emit_fields)) if on),
-            "snap-every": str(self.snap_every),
-            "log-every": str(self.log_every),
-            "strict": "true" if self.strict else "false",
-            "auto-tau": "true" if self.auto_tau else "false",
-        }
-        if self.tilt is not None:
-            kv["tilt"] = ",".join(repr(v) for v in self.tilt)
-        if self.quad is not None:
-            kv["quad"] = ",".join(repr(v) for v in self.quad)
-        if self.dt is not None:
-            kv["dt"] = repr(self.dt)
-        if self.steps is not None:
-            kv["steps"] = str(self.steps)
-        if self.tmax is not None:
-            kv["tmax"] = repr(self.tmax)
-        if self.maxiter is not None:
-            kv["maxiter"] = str(self.maxiter)
-        if self.coriolis_mode == "off":
-            kv["coriolis"] = "off"
-        elif self.coriolis_mode == "const":
-            kv["coriolis"] = f"const:{self.coriolis_value!r}"
-        elif self.coriolis_mode == "profile":
-            kv["coriolis"] = f"profile:{self.coriolis_value!r}"
-        else:
-            kv["coriolis"] = f"file:{self.coriolis_path}"
-        return kv
+        return {key: k.echo(getattr(self, k.field)) for key, k in _KEYS.items()
+                if getattr(self, k.field) is not None}
 
 
-def _parse_floats(text, count, label, violations):
-    parts = [p for p in str(text).split(",") if p != ""]
+# Parsers take (key, text, violations).  Each returns the key's value, or None
+# when the text does not parse, and appends what it finds wrong to violations.
+
+def _number(key, text, violations, infinite=False):
     try:
-        vals = tuple(float(p) for p in parts)
+        value = float(text)
     except ValueError:
-        violations.append(f"{label}: cannot parse {text!r} as numbers")
+        violations.append(f"{key}: cannot parse {text!r} as a number")
         return None
-    if len(vals) != count:
-        violations.append(f"{label}: expected {count} comma-separated values, got {len(vals)}")
+    if math.isnan(value) or (math.isinf(value) and not infinite):
+        violations.append(f"{key}: must be finite, got {text!r}")
+    return value
+
+
+def _integer(key, text, violations):
+    try:
+        return int(text)
+    except ValueError:
+        violations.append(f"{key}: cannot parse {text!r} as an integer")
         return None
-    if not all(math.isfinite(v) for v in vals):
-        violations.append(f"{label}: values must be finite, got {text!r}")
+
+
+def _triple(key, text, violations):
+    parts = [p for p in text.split(",") if p != ""]
+    try:
+        values = tuple(float(p) for p in parts)
+    except ValueError:
+        violations.append(f"{key}: cannot parse {text!r} as numbers")
         return None
-    return vals
+    if len(values) != 3:
+        violations.append(f"{key}: expected 3 comma-separated values, got {len(values)}")
+        return None
+    if not all(math.isfinite(v) for v in values):
+        violations.append(f"{key}: values must be finite, got {text!r}")
+        return None
+    return values
+
+
+def _grid(key, text, violations):
+    try:
+        nums = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        violations.append(f"{key}: cannot parse {text!r}")
+        return None
+    dims = nums * 3 if len(nums) == 1 else nums
+    if len(dims) != 3:
+        violations.append(f"{key}: expected N or NX,NY,NZ")
+        return None
+    return dims
+
+
+def _preset(key, text, violations):
+    if text not in ("identity", "tilt", "quadratic", "bump"):
+        violations.append(f"{key}: unknown preset {text!r}")
+    return text
+
+
+def _boolean(key, text, violations):
+    value = _BOOLEANS.get(text.lower())
+    if value is None:
+        violations.append(f"{key}: expected true or false, got {text!r}")
+    return value
+
+
+def _emit(key, text, violations):
+    items = [e for e in text.split(",") if e]
+    bad = [e for e in items if e not in _ARTIFACTS]
+    if bad:
+        violations.append(f"{key}: unknown values {bad} (allowed: csv, fields)")
+    return tuple(a for a in _ARTIFACTS if a in items)
+
+
+def _coriolis(key, text, violations):
+    if text == "off":
+        return ("off", None)
+    mode, colon, arg = text.partition(":")
+    if colon and mode == "file":
+        return (mode, arg)
+    if colon and mode in ("const", "profile"):
+        try:
+            value = float(arg)
+        except ValueError:
+            violations.append(f"{key}: cannot parse {text!r}")
+            return None
+        if mode == "const" and value <= 0:
+            violations.append(f"{key}: const value must be positive")
+        return (mode, value)
+    violations.append(f"{key}: expected off|const:F0|profile:DELTA|file:PATH, got {text!r}")
+    return None
+
+
+def _checked(parse, ok, message):
+    """parse, then report message for a value that parsed cleanly but is not ok."""
+    def parse_checked(key, text, violations):
+        clean = len(violations)
+        value = parse(key, text, violations)
+        if len(violations) == clean and not ok(value):
+            violations.append(f"{key}: {message}, got {value}")
+        return value
+    return parse_checked
+
+
+_positive = _checked(_number, lambda v: v > 0, "must be positive")
+_count = _checked(_integer, lambda n: n >= 1, "must be >= 1")
+
+
+def _echo(value) -> str:
+    # str of a Python float is its shortest round-trip repr
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+# Every configuration key with its RunConfig field, its parser and its echo,
+# in the order parse_config reports violations.
+_Key = namedtuple("_Key", "field parse echo", defaults=[_echo])
+_KEYS = {
+    # the W^{3,p} norm behind the scheme constants needs 5 cells per axis
+    "grid": _Key("dims", _checked(_grid, lambda d: min(d) >= 5, "dims must be >= 5 per axis")),
+    "extent": _Key("extents", _checked(_triple, lambda e: min(e) > 0,
+                                       "components must be positive")),
+    "origin": _Key("origin", _triple),
+    "preset": _Key("preset", _preset),
+    "tilt": _Key("tilt", _triple),
+    "quad": _Key("quad", _checked(_triple, lambda q: min(q) > 0,
+                                  "diagonal entries must be positive")),
+    "bump-delta": _Key("bump_delta", _number),
+    "bump-k": _Key("bump_k", _count),
+    "dt": _Key("dt", _positive),
+    "steps": _Key("steps", _count),
+    "tmax": _Key("tmax", _positive),
+    "auto-tau": _Key("auto_tau", _boolean),
+    "strict": _Key("strict", _boolean),
+    "p": _Key("p", _checked(partial(_number, infinite=True), lambda p: p > 3.0,
+                            "Lebesgue exponent must exceed 3")),
+    "cstar": _Key("c_star", _positive),
+    "cm": _Key("c_m", _positive),
+    "tol": _Key("tol", _positive),
+    "maxiter": _Key("maxiter", _count),
+    "out": _Key("out_dir", lambda key, text, violations: text),
+    "snap-every": _Key("snap_every", _count),
+    "log-every": _Key("log_every", _count),
+    "emit": _Key("emit", _emit),
+    "coriolis": _Key("coriolis", _coriolis,
+                     lambda c: c[0] if c[1] is None else f"{c[0]}:{c[1]}"),
+}
 
 
 def _flags_to_dict(argv, violations) -> dict:
     kv = {}
     i = 0
-    booleans = {"auto-tau", "strict"}
     while i < len(argv):
         arg = argv[i]
         if not arg.startswith("--"):
@@ -166,10 +257,10 @@ def _flags_to_dict(argv, violations) -> dict:
             i += 1
         else:
             key = body
-            if key in booleans:
+            if key in _KEYS and _KEYS[key].parse is _boolean:
                 # bare flag means true; an explicit true/false may follow
                 nxt = argv[i + 1].lower() if i + 1 < len(argv) else ""
-                if nxt in ("true", "false", "1", "0", "yes", "no"):
+                if nxt in _BOOLEANS:
                     value = nxt
                     i += 2
                 else:
@@ -182,7 +273,7 @@ def _flags_to_dict(argv, violations) -> dict:
                 violations.append(f"flag --{key} is missing a value")
                 i += 1
                 continue
-        if key not in _FLAG_KEYS and key not in ("config", "origin", "sweep"):
+        if key not in _KEYS and key not in ("config", "sweep"):
             violations.append(f"unknown flag --{key}")
         elif key not in kv:
             kv[key] = value
@@ -205,15 +296,14 @@ def _read_config_file(path, violations) -> dict:
         if "=" not in line:
             violations.append(f"{path}:{lineno}: expected key=value, got {line!r}")
             continue
-        key, value = line.split("=", 1)
-        key = key.strip()
-        if key not in _FLAG_KEYS and key != "origin":
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _KEYS:
             violations.append(f"{path}:{lineno}: unknown key {key!r}")
             continue
         if key in kv:
             violations.append(f"{path}:{lineno}: key {key!r} given twice")
             continue
-        kv[key] = value.strip()
+        kv[key] = value
     return kv
 
 
@@ -230,151 +320,30 @@ def parse_config(argv, config_file=None) -> RunConfig:
     kv = _read_config_file(file_path, violations) if file_path else {}
     kv.update(flags)
 
-    def get(key, default=None):
-        return kv.get(key, default)
-
-    dims = (16, 16, 16)
-    if "grid" in kv:
-        text = kv["grid"]
-        parts = text.split(",")
-        try:
-            nums = [int(p) for p in parts]
-            dims = tuple(nums * 3) if len(nums) == 1 else tuple(nums)
-            if len(dims) != 3:
-                violations.append("grid: expected N or NX,NY,NZ")
-                dims = (16, 16, 16)
-        except ValueError:
-            violations.append(f"grid: cannot parse {text!r}")
-    if any(n < 5 for n in dims):
-        # the W^{3,p} norm behind the scheme constants needs 5 cells per axis
-        violations.append(f"grid: dims must be >= 5 per axis, got {dims}")
-
-    extents = (1.0, 1.0, 1.0)
-    if "extent" in kv:
-        parsed = _parse_floats(kv["extent"], 3, "extent", violations)
-        if parsed:
-            extents = parsed
-    if any(e <= 0 for e in extents):
-        violations.append(f"extent: components must be positive, got {extents}")
-
-    origin = (0.0, 0.0, 0.0)
-    if "origin" in kv:
-        parsed = _parse_floats(kv["origin"], 3, "origin", violations)
-        if parsed:
-            origin = parsed
-
-    preset = get("preset", "identity")
-    if preset not in ("identity", "tilt", "quadratic", "bump"):
-        violations.append(f"preset: unknown preset {preset!r}")
-
-    tilt = _parse_floats(kv["tilt"], 3, "tilt", violations) if "tilt" in kv else None
-    quad = _parse_floats(kv["quad"], 3, "quad", violations) if "quad" in kv else None
-    if quad is not None and any(v <= 0 for v in quad):
-        violations.append(f"quad: diagonal entries must be positive, got {quad}")
-
-    def get_float(key, default, positive=False, infinite=False):
-        if key not in kv:
-            return default
-        try:
-            v = float(kv[key])
-        except ValueError:
-            violations.append(f"{key}: cannot parse {kv[key]!r} as a number")
-            return default
-        if math.isnan(v) or (math.isinf(v) and not infinite):
-            violations.append(f"{key}: must be finite, got {kv[key]!r}")
-        elif positive and v <= 0:
-            violations.append(f"{key}: must be positive, got {v}")
-        return v
-
-    def get_int(key, default, minimum=1):
-        if key not in kv:
-            return default
-        try:
-            v = int(kv[key])
-        except ValueError:
-            violations.append(f"{key}: cannot parse {kv[key]!r} as an integer")
-            return default
-        if v < minimum:
-            violations.append(f"{key}: must be >= {minimum}, got {v}")
-        return v
-
-    bump_delta = get_float("bump-delta", 0.01)
-    bump_k = get_int("bump-k", 1)
-    dt = get_float("dt", None, positive=True)
-    steps = get_int("steps", None)
-    tmax = get_float("tmax", None, positive=True)
-    auto_tau = str(get("auto-tau", "false")).lower() in ("true", "1", "yes")
-    strict = str(get("strict", "false")).lower() in ("true", "1", "yes")
-    p = get_float("p", 4.0, infinite=True)  # inf selects the L^inf norm
-    if p <= 3.0:
-        violations.append(f"p: Lebesgue exponent must exceed 3, got {p}")
-    c_star = get_float("cstar", 1.0, positive=True)
-    c_m = get_float("cm", 1.0, positive=True)
-    tol = get_float("tol", 1e-10, positive=True)
-    maxiter = get_int("maxiter", None)
-    out_dir = get("out", "out")
-    snap_every = get_int("snap-every", 10)
-    log_every = get_int("log-every", 1)
-
-    emit_csv, emit_fields = True, False
-    if "emit" in kv:
-        items = [e for e in kv["emit"].split(",") if e]
-        bad = [e for e in items if e not in ("csv", "fields")]
-        if bad:
-            violations.append(f"emit: unknown values {bad} (allowed: csv, fields)")
-        emit_csv = "csv" in items
-        emit_fields = "fields" in items
+    parsed = {}
+    for key, k in _KEYS.items():
+        if key in kv:
+            value = k.parse(key, kv[key], violations)
+            if value is not None:
+                parsed[k.field] = value
+    cfg = RunConfig(**parsed)
 
     # the time schedule must be exactly determined
-    horizon_modes = sum([tmax is not None, auto_tau])
+    horizon_modes = sum([cfg.tmax is not None, cfg.auto_tau])
     if horizon_modes > 1:
         violations.append("give only one of tmax / auto-tau")
     if horizon_modes == 1:
-        if dt is not None and steps is not None:
+        if cfg.dt is not None and cfg.steps is not None:
             violations.append("over-determined schedule: dt, steps and a horizon all given")
-        if dt is None and steps is None:
+        if cfg.dt is None and cfg.steps is None:
             violations.append("a horizon needs one of dt / steps")
     else:
-        if dt is None or steps is None:
+        if cfg.dt is None or cfg.steps is None:
             violations.append("without tmax or auto-tau, both dt and steps are required")
-
-    coriolis_mode, coriolis_value, coriolis_path = "off", None, None
-    spec_text = str(get("coriolis", "off"))
-    if spec_text == "off":
-        pass
-    elif spec_text.startswith("const:"):
-        coriolis_mode = "const"
-        try:
-            coriolis_value = float(spec_text[6:])
-            if coriolis_value <= 0:
-                violations.append("coriolis: const value must be positive")
-        except ValueError:
-            violations.append(f"coriolis: cannot parse {spec_text!r}")
-    elif spec_text.startswith("profile:"):
-        coriolis_mode = "profile"
-        try:
-            coriolis_value = float(spec_text[8:])
-        except ValueError:
-            violations.append(f"coriolis: cannot parse {spec_text!r}")
-    elif spec_text.startswith("file:"):
-        coriolis_mode = "file"
-        coriolis_path = spec_text[5:]
-    else:
-        violations.append(
-            f"coriolis: expected off|const:F0|profile:DELTA|file:PATH, got {spec_text!r}")
 
     if violations:
         raise UsageError(violations)
-
-    return RunConfig(
-        dims=dims, extents=extents, origin=origin, preset=preset, tilt=tilt,
-        quad=quad, bump_delta=bump_delta, bump_k=bump_k, dt=dt, steps=steps,
-        tmax=tmax, auto_tau=auto_tau, p=p, c_star=c_star, c_m=c_m,
-        coriolis_mode=coriolis_mode, coriolis_value=coriolis_value,
-        coriolis_path=coriolis_path, tol=tol, maxiter=maxiter, out_dir=out_dir,
-        emit_csv=emit_csv, emit_fields=emit_fields, snap_every=snap_every,
-        log_every=log_every, strict=strict,
-    )
+    return cfg
 
 
 def _fmt(value) -> str:
@@ -388,17 +357,9 @@ def _fmt(value) -> str:
 def write_series_csv(path, records) -> None:
     lines = [CSV_COLUMNS]
     for r in records:
-        row = [
-            _fmt(r.step), _fmt(r.time), _fmt(r.energy), _fmt(r.norm_l2),
-            _fmt(r.norm_lp), _fmt(r.norm_linf), _fmt(r.norm_w3p),
-            _fmt(r.lambda_min), _fmt(r.lambda_argmin[0]), _fmt(r.lambda_argmin[1]),
-            _fmt(r.lambda_argmin[2]), _fmt(r.curl_residual),
-            _fmt(r.bbox_min[0]), _fmt(r.bbox_min[1]), _fmt(r.bbox_min[2]),
-            _fmt(r.bbox_max[0]), _fmt(r.bbox_max[1]), _fmt(r.bbox_max[2]),
-            _fmt(r.u_max), _fmt(r.solver_iterations), _fmt(r.solver_residual),
-            _fmt(r.est_ratio_u), _fmt(r.est_ratio_au),
-        ]
-        lines.append(",".join(row))
+        cells = (getattr(r, f.name) for f in fields(r))
+        row = [v for cell in cells for v in (cell if isinstance(cell, tuple) else (cell,))]
+        lines.append(",".join(map(_fmt, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -437,13 +398,14 @@ def write_structured_points(path, state, u_values, step, spec) -> None:
 
 
 def _build_coriolis(cfg, spec):
-    if cfg.coriolis_mode == "off":
+    mode, arg = cfg.coriolis
+    if mode == "off":
         return None
-    if cfg.coriolis_mode == "const":
-        return constant_coriolis(spec, cfg.coriolis_value)
-    if cfg.coriolis_mode == "profile":
-        return linear_coriolis(spec, cfg.coriolis_value)
-    values = np.loadtxt(cfg.coriolis_path).reshape(spec.dims)
+    if mode == "const":
+        return constant_coriolis(spec, arg)
+    if mode == "profile":
+        return linear_coriolis(spec, arg)
+    values = np.loadtxt(arg).reshape(spec.dims)
     return make_coriolis_field(ScalarField(spec, values))
 
 
@@ -505,17 +467,11 @@ def run_experiment(cfg: RunConfig) -> int:
     """
     with _pinned_heap():
         spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
-        preset_params = {}
-        if cfg.preset == "tilt" and cfg.tilt is not None:
-            preset_params["tilt"] = cfg.tilt
-        if cfg.preset == "quadratic" and cfg.quad is not None:
-            preset_params["quad"] = cfg.quad
-        if cfg.preset == "bump":
-            preset_params["delta"] = cfg.bump_delta
-            preset_params["k"] = cfg.bump_k
         violations = []
         try:
-            state = init_state(cfg.preset, spec, **preset_params)
+            # each preset reads its own parameters; None selects its default
+            state = init_state(cfg.preset, spec, tilt=cfg.tilt, quad=cfg.quad,
+                               delta=cfg.bump_delta, k=cfg.bump_k)
         except ConvexityError as err:
             violations.append(f"preset: {err}")
         try:
@@ -544,8 +500,8 @@ def run_experiment(cfg: RunConfig) -> int:
                 write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j, spec)
 
         result = run(state, scheme, constants=constants, model=model,
-                     observe=write_snapshot if cfg.emit_fields else None)
-        if cfg.emit_csv:
+                     observe=write_snapshot if "fields" in cfg.emit else None)
+        if "csv" in cfg.emit:
             write_series_csv(out / "series.csv", result.records)
 
         scheme_constants = asdict(result.constants)
@@ -560,10 +516,7 @@ def run_experiment(cfg: RunConfig) -> int:
         }
         (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
-        completed = result.halt_reason == "completed"
-        if cfg.strict and not completed:
-            return 1
-        return 0
+        return 1 if cfg.strict and result.halt_reason != "completed" else 0
 
 
 def main(argv=None) -> int:

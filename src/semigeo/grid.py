@@ -256,7 +256,7 @@ def hessian(s: ScalarField) -> TensorField:
     out = np.empty((3, 3) + s.spec.dims)
     for a in range(3):
         out[a, a] = diff2(s.values, a, h[a])
-    for a in range(3):
+    for a in range(2):  # the pairs (0, 1), (0, 2), (1, 2)
         da = diff(s.values, a, h[a])
         for b in range(a + 1, 3):
             mixed = diff(da, b, h[b])

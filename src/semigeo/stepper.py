@@ -271,8 +271,8 @@ FLOOR_FRACTION = 0.5
 class SchemeConfig:
     """Time discretisation and run policy.
 
-    Exactly one of epsilon / n_steps may be left unset when a horizon is
-    available; the other is derived.  auto_horizon uses the computed tau_star.
+    Give epsilon and n_steps, or exactly one of them with a horizon, from
+    which the other is derived.  auto_horizon uses the computed tau_star.
     """
 
     epsilon: float | None = None
@@ -293,11 +293,14 @@ class SchemeConfig:
             raise ValueError("n_steps must be at least 1")
         if self.horizon is not None and self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        if self.horizon is None and not self.auto_horizon:
-            if self.epsilon is None or self.n_steps is None:
-                raise ValueError("without a horizon both epsilon and n_steps are required")
+        has_horizon = self.horizon is not None or self.auto_horizon
+        has_both = self.epsilon is not None and self.n_steps is not None
+        if not has_horizon and not has_both:
+            raise ValueError("without a horizon both epsilon and n_steps are required")
         if self.horizon is not None and self.auto_horizon:
             raise ValueError("give either an explicit horizon or auto_horizon, not both")
+        if has_horizon and has_both:
+            raise ValueError("over-determined schedule: epsilon, n_steps and a horizon all given")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 

@@ -1,6 +1,8 @@
 import ctypes
 import json
+import re
 import resource
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,32 @@ def vtk_block(text, header, count):
     """The count value lines after a section header, parsed as floats."""
     start = text.index(header) + 1
     return np.array([[float(v) for v in ln.split()] for ln in text[start:start + count]])
+
+
+BUMP = ["--grid", "8,8,12", "--extent", "1,1,2", "--preset", "bump", "--bump-delta", "0.005",
+        "--bump-k", "2", "--dt", "0.01", "--steps", "7", "--coriolis", "profile:0.05",
+        "--tol", "1e-9", "--snap-every", "2", "--log-every", "3", "--strict", "--out", "results"]
+
+# together these set every configuration key, and each Coriolis mode
+ROUND_TRIP = {
+    "bump-csv-fields": BUMP + ["--emit", "csv,fields"],
+    "bump-fields": BUMP + ["--emit", "fields"],
+    "tilt-auto-tau": ["--grid", "8", "--preset", "tilt", "--tilt", "0.1,0,0.05", "--auto-tau",
+                      "--steps", "5", "--p", "inf", "--cstar", "2", "--cm", "0.5",
+                      "--maxiter", "50", "--coriolis", "off"],
+    "quadratic-tmax-origin": ["--grid", "8", "--preset", "quadratic", "--quad", "2,1,0.5",
+                              "--dt", "0.01", "--tmax", "0.05", "--origin", "0.5,0,-1e-3",
+                              "--coriolis", "const:0.8"],
+    "file-no-emit": ["--dt", "0.01", "--steps", "2", "--coriolis", "file:fields/f.txt",
+                     "--emit", "", "--auto-tau", "false", "--strict", "no"],
+}
+
+
+def test_readme_flag_table_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    flags = [line.split("|")[1] for line in readme.splitlines() if line.startswith("| `--")]
+    named = set(re.findall(r"--([a-z-]+)", " ".join(flags)))
+    assert named == set(semigeo.cli._KEYS) | {"config", "sweep"}
 
 
 class TestParseConfig:
@@ -49,9 +77,9 @@ class TestParseConfig:
     def test_coriolis_specs(self):
         base = ["--dt", "0.01", "--steps", "5"]
         cfg = parse_config(base + ["--coriolis", "const:0.8"])
-        assert cfg.coriolis_mode == "const" and cfg.coriolis_value == 0.8
+        assert cfg.coriolis == ("const", 0.8)
         cfg = parse_config(base + ["--coriolis", "profile:0.05"])
-        assert cfg.coriolis_mode == "profile" and cfg.coriolis_value == 0.05
+        assert cfg.coriolis == ("profile", 0.05)
         with pytest.raises(UsageError):
             parse_config(base + ["--coriolis", "sideways"])
 
@@ -81,19 +109,29 @@ class TestParseConfig:
     def test_p_inf_selects_linf(self):
         assert parse_config(["--p", "inf", "--dt", "0.01", "--steps", "1"]).p == np.inf
 
-    def test_echo_round_trip(self):
-        for emit in ("csv,fields", "fields"):
-            cfg = parse_config(["--grid", "8,8,12", "--extent", "1,1,2",
-                                "--preset", "bump", "--bump-delta", "0.005",
-                                "--bump-k", "2", "--dt", "0.01", "--steps", "7",
-                                "--coriolis", "profile:0.05", "--tol", "1e-9",
-                                "--emit", emit, "--snap-every", "2",
-                                "--log-every", "3", "--strict", "--out", "results"])
-            echo = cfg.key_values()
-            argv = []
-            for key, value in echo.items():
-                argv.extend([f"--{key}", value])
-            assert parse_config(argv) == cfg
+    @pytest.mark.parametrize("argv", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+    def test_echo_round_trip(self, argv):
+        cfg = parse_config(argv)
+        echo = cfg.key_values()
+        argv = []
+        for key, value in echo.items():
+            argv.extend([f"--{key}", value])
+        assert parse_config(argv) == cfg
+        assert parse_config(argv).key_values() == echo
+
+    def test_round_trip_sets_every_key(self):
+        given = {arg[2:] for argv in ROUND_TRIP.values() for arg in argv if arg.startswith("--")}
+        assert given == set(semigeo.cli._KEYS)
+        modes = {parse_config(argv).coriolis[0] for argv in ROUND_TRIP.values()}
+        assert modes == {"off", "const", "profile", "file"}
+
+    @pytest.mark.parametrize("word, value", [
+        ("true", True), ("1", True), ("YES", True), ("false", False), ("0", False), ("No", False),
+    ])
+    def test_boolean_words(self, word, value):
+        base = ["--dt", "0.01", "--steps", "1"]
+        assert parse_config(base + [f"--strict={word}"]).strict is value
+        assert parse_config(["--strict", word] + base).strict is value
 
 
 def run_dir(tmp_path, name, extra):
@@ -250,6 +288,21 @@ class TestRunExperiment:
         assert main(argv) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {key}: ") and "finite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("inputs, violation", [
+        ("--strict=maybe", "strict: expected true or false, got 'maybe'"),
+        ("--auto-tau=maybe", "auto-tau: expected true or false, got 'maybe'"),
+        ("--strict=TRUE --auto-tau=on", "auto-tau: expected true or false, got 'on'"),
+        ("--config {tmp}/run.cfg", "strict: expected true or false, got 'maybe'"),
+    ], ids=["strict-flag", "auto-tau-flag", "any-case-and-second-flag", "config-file"])
+    def test_boolean_takes_only_true_or_false(self, tmp_path, capsys, inputs, violation):
+        (tmp_path / "run.cfg").write_text("strict=maybe\n")
+        out = tmp_path / "out"
+        argv = inputs.format(tmp=tmp_path).split() + ["--grid", "6", "--dt", "0.01",
+                                                       "--steps", "1", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {violation}"]
         assert not out.exists()
 
     def test_lost_coriolis_dominance_is_a_halt(self, tmp_path):

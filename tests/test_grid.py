@@ -197,6 +197,15 @@ class TestCurl:
             interior = c[2:-2, 2:-2, 2:-2]
             assert np.max(np.abs(interior)) < 1e-12
 
+    @pytest.mark.parametrize("dims", [(9, 7, 8), (5, 6, 7)])
+    def test_equals_antisymmetric_part_of_jacobian(self, dims):
+        # curl(v) is the antisymmetric part of jacobian(v), bit for bit
+        rng = np.random.default_rng(31)
+        v = random_vector(make_spec(dims, extents=(1.0, 1.5, 0.7)), rng)
+        j = jacobian(v).comp
+        want = np.stack([j[1, 2] - j[2, 1], j[2, 0] - j[0, 2], j[0, 1] - j[1, 0]], axis=-1)
+        assert np.array_equal(curl(v).values, want)
+
 
 class TestOperatorProperties:
     def test_linearity(self):

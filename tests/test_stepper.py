@@ -415,6 +415,12 @@ class TestSchemeConfig:
         with pytest.raises(ValueError):
             SchemeConfig(epsilon=0.01, horizon=1.0, auto_horizon=True)
 
+    @pytest.mark.parametrize("horizon", [{"horizon": 1.0}, {"auto_horizon": True}])
+    def test_overdetermined_schedule_rejected(self, horizon):
+        # epsilon and n_steps fix the schedule; a horizon as well would be ignored
+        with pytest.raises(ValueError, match="over-determined schedule"):
+            SchemeConfig(epsilon=0.01, n_steps=3, **horizon)
+
     def test_derives_steps_from_horizon(self):
         s = init_state("identity", make_spec(8))
         res = run(s, SchemeConfig(epsilon=0.01, horizon=0.05))
