@@ -363,9 +363,10 @@ def write_series_csv(path, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_structured_points(path, state, u_values, step, spec) -> None:
+def write_structured_points(path, state, u_comp, step, spec) -> None:
     """Legacy VTK structured-points snapshot: P scalar, gradP and u vectors,
-    point data at cell centers, x varying fastest."""
+    point data at cell centers, x varying fastest.  u_comp is the velocity,
+    component-major (3, nx, ny, nz)."""
     h = spec.spacing
     nx, ny, nz = spec.dims
     n = spec.n_cells
@@ -388,11 +389,10 @@ def write_structured_points(path, state, u_values, step, spec) -> None:
     # .tolist() yields Python floats, whose repr is the bare shortest round-trip
     lines.extend(repr(v) for v in flat(state.p.values).tolist())
     lines.append("VECTORS gradP double")
-    g = state.grad_p.values
-    comps = [flat(g[..., a]).tolist() for a in range(3)]
+    comps = [flat(c).tolist() for c in state.grad_p.comp]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
     lines.append("VECTORS u double")
-    comps = [flat(u_values[..., a]).tolist() for a in range(3)]
+    comps = [flat(c).tolist() for c in u_comp]
     lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -496,7 +496,7 @@ def run_experiment(cfg: RunConfig) -> int:
 
         def write_snapshot(j, st, sol):
             if j > 0 and j % cfg.snap_every == 0:
-                u = sol.u.values if sol is not None else np.zeros(spec.dims + (3,))
+                u = sol.u.comp if sol is not None else np.zeros((3,) + spec.dims)
                 write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j, spec)
 
         result = run(state, scheme, constants=constants, model=model,

@@ -91,8 +91,8 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
     if s.spec.dims != c.spec.dims:
         raise ValueError("state and Coriolis field live on different grids")
     f = c.f.values
-    gp = np.moveaxis(s.grad_p.values, -1, 0)
-    gf = np.moveaxis(c.grad_f.values, -1, 0)
+    gp = s.grad_p.comp
+    gf = c.grad_f.comp
     kf = np.stack([f, f, np.ones_like(f)])  # the diagonal of Kf_inv
     # rank-one term (Kf_inv gp) (gf)^T / f^2, component-major, and its
     # spectral norm per cell
@@ -120,11 +120,11 @@ def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlDa
     raises PerturbationError (an EllipticityError) where it fails.
     """
     a = assemble_coriolis_coefficient(s, c)
-    x = s.spec.cell_centers()
-    jw = apply_rotation(s.grad_p.values - x)
-    jw[..., 0] *= c.f.values
-    jw[..., 1] *= c.f.values
-    return DivCurlData(a=a, f=VectorField(s.spec, jw))
+    x = np.moveaxis(s.spec.cell_centers(), -1, 0)
+    jw = apply_rotation(s.grad_p.comp - x)
+    jw[0] *= c.f.values
+    jw[1] *= c.f.values
+    return DivCurlData(a=a, f=VectorField.from_components(s.spec, jw))
 
 
 def step_coriolis(s: GeopotentialState, c: CoriolisField, epsilon: float,

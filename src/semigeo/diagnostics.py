@@ -83,11 +83,11 @@ def energy(s) -> float:
     """Geostrophic energy  1/2 int (x1-T1)^2 + (x2-T2)^2 - 2 x3 T3 dx  with
     T = grad P, midpoint rule, not volume-normalised."""
     x = s.spec.cell_centers()
-    t = s.grad_p.values
+    t = s.grad_p.comp
     density = 0.5 * (
-        (x[..., 0] - t[..., 0]) ** 2
-        + (x[..., 1] - t[..., 1]) ** 2
-        - 2.0 * x[..., 2] * t[..., 2]
+        (x[..., 0] - t[0]) ** 2
+        + (x[..., 1] - t[1]) ** 2
+        - 2.0 * x[..., 2] * t[2]
     )
     return float(np.sum(density) * s.spec.cell_volume)
 
@@ -96,15 +96,15 @@ def pushforward_histogram(s, bins=16) -> PushforwardHistogram:
     """Each cell deposits its normalised volume weight 1/N into the bin
     containing its grad P value; bins tile the exact componentwise bounding
     box (degenerate axes widened symmetrically)."""
-    t = s.grad_p.values.reshape(-1, 3)
-    n = t.shape[0]
+    t = s.grad_p.comp.reshape(3, -1)
+    n = t.shape[1]
     ranges = []
     for a in range(3):
-        lo, hi = float(np.min(t[:, a])), float(np.max(t[:, a]))
+        lo, hi = float(np.min(t[a])), float(np.max(t[a]))
         if hi <= lo:
             lo, hi = lo - 0.5, hi + 0.5
         ranges.append((lo, hi))
-    masses, edges = np.histogramdd(t, bins=bins, range=ranges)
+    masses, edges = np.histogramdd(list(t), bins=bins, range=ranges)
     return PushforwardHistogram(edges=tuple(edges), masses=masses / n)
 
 
@@ -150,13 +150,13 @@ def curl_residual(s) -> float:
     takes there, so the value is bit for bit that of curl(s.grad_p)."""
     if min(s.spec.dims) <= 4:
         return 0.0
-    g = s.grad_p.values
+    g = s.grad_p.comp
     h = s.spec.spacing
 
     def d(a, b):  # d g_b / d x_a on cells [2:-2]^3
         hi, lo = [slice(2, -2)] * 3, [slice(2, -2)] * 3
         hi[a], lo[a] = slice(3, -1), slice(1, -3)
-        return (g[(*hi, b)] - g[(*lo, b)]) / (2.0 * h[a])
+        return (g[(b, *hi)] - g[(b, *lo)]) / (2.0 * h[a])
 
     comps = [d(1, 2) - d(2, 1), d(2, 0) - d(0, 2), d(0, 1) - d(1, 0)]
     return float(np.max(np.sqrt(sum_of_squares(comps))))
@@ -176,9 +176,9 @@ def emit_record(s, solution, constants, step: int = 0, ratios=None,
     norm_lp = lp_norm(grad_mag, p)
     if norm_w3p is None:
         norm_w3p = sobolev_norm(norm_lp, lp_norm(s.hess, p), s.hess, p)
-    t = s.grad_p.values
-    bbox_min = tuple(float(v) for v in t.reshape(-1, 3).min(axis=0))
-    bbox_max = tuple(float(v) for v in t.reshape(-1, 3).max(axis=0))
+    t = s.grad_p.comp.reshape(3, -1)
+    bbox_min = tuple(float(v) for v in t.min(axis=1))
+    bbox_max = tuple(float(v) for v in t.max(axis=1))
     if solution is None:
         u_max, iters, resid = 0.0, 0, 0.0
     else:

@@ -179,16 +179,16 @@ class EstimateRatios:
 
 
 def _matvec(t: TensorField, v: np.ndarray) -> np.ndarray:
-    """Per-cell product t v for v of shape (nx, ny, nz, 3).
+    """Per-cell product t v for a component-major v of shape (3, nx, ny, nz).
 
     Row a is (t[a,0] v0 + t[a,2] v2) + t[a,1] v1, added into zeros: the order
-    np.einsum("...ab,...b->...a") took on row-major (..., 3, 3) tensors, so
-    products are bit-identical to it.
+    np.einsum("...ab,...b->...a") took on row-major (..., 3, 3) tensors and
+    (..., 3) vectors, so products are bit-identical to it.
     """
     c = t.comp
     out = np.zeros(v.shape)
     for a in range(3):
-        out[..., a] += (c[a, 0] * v[..., 0] + c[a, 2] * v[..., 2]) + c[a, 1] * v[..., 1]
+        out[a] += (c[a, 0] * v[0] + c[a, 2] * v[2]) + c[a, 1] * v[1]
     return out
 
 
@@ -241,10 +241,10 @@ def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
     spec = d.a.spec
     h = spec.spacing
     m = invert_3x3(d.a)
-    mf_vals = _matvec(m, d.f.values)
+    mf = _matvec(m, d.f.comp)
     rhs_vals = np.zeros(spec.dims)
     for a in range(3):
-        _face_diff_t(_face_avg(mf_vals[..., a], a), a, h[a], rhs_vals)
+        _face_diff_t(_face_avg(mf[a], a), a, h[a], rhs_vals)
     rhs_vals = -rhs_vals
     m_face = tuple(_face_avg(m.comp[a, a], a) for a in range(3))
     off = sum(
@@ -255,7 +255,7 @@ def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
     )
     return DarcyProblem(
         m=m,
-        mf=VectorField(spec, mf_vals),
+        mf=VectorField.from_components(spec, mf),
         rhs=ScalarField(spec, rhs_vals),
         m_face=m_face,
         has_mixed=off > 0.0,
@@ -465,11 +465,10 @@ def solve_darcy(p: DarcyProblem, tol: float = 1e-10, maxiter: int | None = None)
         method, name = (_pcg, "conjugate gradients") if p.symmetric else (_bicgstab, "BiCGStab")
         q, iters, res, _ = _krylov(p, b, _cosine_preconditioner(p), method, name, tol, maxiter)
         _project(q)
-    g = gradient_values(q, p.spec)
-    u = p.mf.values + _matvec(p.m, g)
+    u = p.mf.comp + _matvec(p.m, gradient_values(q, p.spec))
     return DarcySolution(
         q=ScalarField(p.spec, q),
-        u=VectorField(p.spec, u),
+        u=VectorField.from_components(p.spec, u),
         iterations=iters,
         residual=res,
     )
@@ -498,8 +497,7 @@ def recover_velocity(d: DivCurlData, q: ScalarField) -> VectorField:
     """u = M (f + grad q); by construction A u - f - grad q = 0 per cell."""
     m = invert_3x3(d.a)
     g = gradient_values(q.values, d.a.spec)
-    u = _matvec(m, d.f.values + g)
-    return VectorField(d.a.spec, u)
+    return VectorField.from_components(d.a.spec, _matvec(m, d.f.comp + g))
 
 
 def _w1p_norm(v: VectorField, p) -> float:
@@ -512,7 +510,7 @@ def verify_estimate(u: VectorField, d: DivCurlData, p) -> EstimateRatios:
     f_norm = lp_norm(curl(d.f), p)
     if f_norm == 0.0:
         return EstimateRatios(None, None)
-    au = VectorField(u.spec, _matvec(d.a, u.values))
+    au = VectorField.from_components(u.spec, _matvec(d.a, u.comp))
     return EstimateRatios(
         u_ratio=_w1p_norm(u, p) / f_norm,
         au_ratio=_w1p_norm(au, p) / f_norm,

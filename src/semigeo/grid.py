@@ -79,10 +79,12 @@ class GridSpec:
         return self.origin[axis] + (np.arange(n) + 0.5) * h
 
     def cell_centers(self) -> np.ndarray:
-        """(nx, ny, nz, 3) array of cell-center coordinates."""
-        ax = [self.axis_coords(a) for a in range(3)]
-        mesh = np.meshgrid(*ax, indexing="ij")
-        return np.stack(mesh, axis=-1)
+        """(nx, ny, nz, 3) array of cell-center coordinates: a view of one
+        component-major array, so each x[..., a] is contiguous."""
+        comp = np.empty((3,) + self.dims)
+        for a in range(3):
+            comp[a] = self.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
+        return np.moveaxis(comp, 0, -1)
 
     def corner_radius(self) -> float:
         """max |y| over the closed box (attained at a corner)."""
@@ -117,13 +119,41 @@ class ScalarField:
         object.__setattr__(self, "values", _frozen_array(self.values, self.spec.dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VectorField:
-    spec: GridSpec
-    values: np.ndarray  # (nx, ny, nz, 3)
+    """A 3-vector per cell, stored component-major.
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, self.spec.dims + (3,)))
+    comp is one C-contiguous (3, nx, ny, nz) array: comp[a] holds component a
+    of every cell contiguously.  values is a read-only (nx, ny, nz, 3) view of
+    the same memory, indexed values[..., a] as before.
+    """
+
+    spec: GridSpec
+    comp: np.ndarray  # (3, nx, ny, nz)
+
+    def __init__(self, spec: GridSpec, values):
+        """values has shape (nx, ny, nz, 3) and is copied."""
+        arr = np.asarray(values, dtype=float)
+        shape = spec.dims + (3,)
+        if arr.shape != shape:
+            raise ValueError(f"field values have shape {arr.shape}, expected {shape}")
+        self._own(spec, np.moveaxis(arr, -1, 0).copy())
+
+    @classmethod
+    def from_components(cls, spec: GridSpec, comp: np.ndarray) -> VectorField:
+        """Wrap a C-contiguous (3, nx, ny, nz) array without copying; the
+        field takes it over and makes it read-only."""
+        field = cls.__new__(cls)
+        field._own(spec, np.ascontiguousarray(comp, dtype=float))
+        return field
+
+    def _own(self, spec: GridSpec, comp: np.ndarray) -> None:
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "comp", _freeze(comp, (3,) + spec.dims))
+
+    @property
+    def values(self) -> np.ndarray:
+        return np.moveaxis(self.comp, 0, -1)
 
 
 @dataclass(frozen=True, init=False)
@@ -236,13 +266,18 @@ def diff_shifted(a: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def gradient_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Stencil gradient of raw (nx, ny, nz) values, component-major:
+    (3, nx, ny, nz), out[a] the derivative along axis a."""
     h = spec.spacing
-    return np.stack([diff(values, a, h[a]) for a in range(3)], axis=-1)
+    out = np.empty((3,) + spec.dims)
+    for a in range(3):
+        out[a] = diff(values, a, h[a])
+    return out
 
 
 def gradient(s: ScalarField) -> VectorField:
     """Componentwise stencil gradient of a scalar field."""
-    return VectorField(s.spec, gradient_values(s.values, s.spec))
+    return VectorField.from_components(s.spec, gradient_values(s.values, s.spec))
 
 
 def hessian(s: ScalarField) -> TensorField:
@@ -270,34 +305,31 @@ def jacobian(v: VectorField) -> TensorField:
     h = v.spec.spacing
     out = np.empty((3, 3) + v.spec.dims)
     for a in range(3):
-        d = diff(v.values, a, h[a])
         for b in range(3):
-            out[a, b] = d[..., b]
+            out[a, b] = diff(v.comp[b], a, h[a])
     return TensorField.from_components(v.spec, out, symmetric=False)
 
 
 def divergence(v: VectorField) -> ScalarField:
     h = v.spec.spacing
-    out = diff(v.values[..., 0], 0, h[0])
-    out += diff(v.values[..., 1], 1, h[1])
-    out += diff(v.values[..., 2], 2, h[2])
+    out = diff(v.comp[0], 0, h[0])
+    out += diff(v.comp[1], 1, h[1])
+    out += diff(v.comp[2], 2, h[2])
     return ScalarField(v.spec, out)
 
 
 def curl(v: VectorField) -> VectorField:
+    """Stencil curl; only the six off-diagonal derivatives are taken."""
     h = v.spec.spacing
-    d = [
-        [diff(v.values[..., b], a, h[a]) for b in range(3)] for a in range(3)
-    ]  # d[a][b] = d v_b / d x_a
-    out = np.stack(
-        [
-            d[1][2] - d[2][1],
-            d[2][0] - d[0][2],
-            d[0][1] - d[1][0],
-        ],
-        axis=-1,
-    )
-    return VectorField(v.spec, out)
+
+    def d(a, b):  # d v_b / d x_a
+        return diff(v.comp[b], a, h[a])
+
+    out = np.empty((3,) + v.spec.dims)
+    np.subtract(d(1, 2), d(2, 1), out=out[0])
+    np.subtract(d(2, 0), d(0, 2), out=out[1])
+    np.subtract(d(0, 1), d(1, 0), out=out[2])
+    return VectorField.from_components(v.spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +374,7 @@ def _cell_magnitude(field) -> np.ndarray:
     if isinstance(field, ScalarField):
         return np.abs(field.values)
     if isinstance(field, VectorField):
-        return np.sqrt(np.sum(field.values**2, axis=-1))
+        return np.sqrt(sum_of_squares(list(field.comp)))
     if isinstance(field, TensorField):
         return np.sqrt(sum_of_squares([field.comp[a, b] for a in range(3) for b in range(3)]))
     raise TypeError(f"unsupported field type {type(field).__name__}")
@@ -420,13 +452,24 @@ def sobolev_norm(grad_lp: float, hess_lp: float, hess: TensorField, p) -> float:
 
 
 def eigmin_symmetric(values: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric 3x3 matrix in a (..., 3, 3) array.
+    """Smallest eigenvalue of each symmetric 3x3 matrix in an (n0, ..., 3, 3)
+    array.
 
     Closed-form solve of the characteristic polynomial (trigonometric method);
     exactly the diagonal minimum for diagonal matrices.  Each component is
     read once, as values[..., a, b]; on a TensorField's values view that is a
-    contiguous array.
+    contiguous array.  The kernel is elementwise, so it runs in slabs of rows
+    along axis 0 into one output array, and its dozen temporaries never span
+    the whole grid.
     """
+    rows = 8
+    out = np.empty(values.shape[:-2])
+    for i0 in range(0, out.shape[0], rows):
+        out[i0:i0 + rows] = _eigmin_rows(values[i0:i0 + rows])
+    return out
+
+
+def _eigmin_rows(values: np.ndarray) -> np.ndarray:
     a00 = values[..., 0, 0]
     a11 = values[..., 1, 1]
     a22 = values[..., 2, 2]
@@ -457,8 +500,7 @@ def eigmin_symmetric(values: np.ndarray) -> np.ndarray:
     phi = np.arccos(r) / 3.0
     lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
 
-    out = np.where(p1 == 0.0, diag_min, np.where(safe, lam_min, q))
-    return out
+    return np.where(p1 == 0.0, diag_min, np.where(safe, lam_min, q))
 
 
 def min_hessian_eigenvalue(t: TensorField) -> tuple[float, tuple[int, int, int]]:

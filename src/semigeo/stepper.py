@@ -68,11 +68,15 @@ class ConvexityError(ValueError):
 
 
 def apply_rotation(v: np.ndarray) -> np.ndarray:
-    """The rotation matrix J applied per cell: (v1, v2, v3) -> (-v2, v1, 0)."""
+    """The rotation matrix J applied per cell: (v1, v2, v3) -> (-v2, v1, 0).
+
+    v is component-major, (3, nx, ny, nz) with v[a] component a, and so is
+    the result.
+    """
     out = np.empty_like(v)
-    out[..., 0] = -v[..., 1]
-    out[..., 1] = v[..., 0]
-    out[..., 2] = 0.0
+    out[0] = -v[1]
+    out[1] = v[0]
+    out[2] = 0.0
     return out
 
 
@@ -129,12 +133,13 @@ def preset_potential(name: str, spec: GridSpec, *, tilt=None, quad=None,
     bump:       |x|^2 / 2 + delta * prod_i sin(k pi xi_i), xi in unit coords
     """
     x = spec.cell_centers()
-    base = 0.5 * np.sum(x**2, axis=-1)
+    base = 0.5 * sum_of_squares([x[..., a] for a in range(3)])
     if name == "identity":
         return base
     if name == "tilt":
         a = np.asarray(tilt if tilt is not None else (0.1, 0.0, 0.0), dtype=float)
-        return base + np.einsum("...a,a->...", x, a)
+        # a.x summed in the order np.einsum("...a,a->...") takes on a row-major x
+        return base + ((x[..., 0] * a[0] + x[..., 2] * a[2]) + x[..., 1] * a[1])
     if name == "quadratic":
         q = np.asarray(quad if quad is not None else (2.0, 1.0, 0.5), dtype=float)
         if q.shape == (3,):
@@ -203,8 +208,9 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
         raise ValueError("c_star and c_m must be positive")
     spec = s.spec
     volume_term = spec.volume ** (1.0 / p)
-    rotation = VectorField(spec, apply_rotation(spec.cell_centers()))
-    omega = lp_norm(rotation, p) + math.sqrt(2.0) * volume_term
+    jx_lp = lp_norm(VectorField.from_components(
+        spec, apply_rotation(np.moveaxis(spec.cell_centers(), -1, 0))), p)  # |J x|_p
+    omega = jx_lp + math.sqrt(2.0) * volume_term
     frob = cell_magnitude(s.hess)  # for |D2P|_p and |D2P|_inf
     grad_norm = sobolev_norm(lp_norm(s.grad_p, p), lp_norm(frob, p), s.hess, p)
 
@@ -230,9 +236,9 @@ def transport_data(s: GeopotentialState) -> DivCurlData:
     The base model: A is certified by step's convexity guard, since D2P is
     exactly symmetric and its smallest eigenvalue is s.lambda_min.
     """
-    x = s.spec.cell_centers()
-    f = apply_rotation(s.grad_p.values - x)
-    return DivCurlData(a=s.hess, f=VectorField(s.spec, f))
+    x = np.moveaxis(s.spec.cell_centers(), -1, 0)
+    f = apply_rotation(s.grad_p.comp - x)
+    return DivCurlData(a=s.hess, f=VectorField.from_components(s.spec, f))
 
 
 def step(s: GeopotentialState, epsilon: float, model=transport_data, tol: float = 1e-10,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semigeo.grid import TensorField, diff_shifted
+from semigeo.grid import TensorField, diff, diff_shifted
 from semigeo.stepper import run
 
 
@@ -150,3 +150,56 @@ def all_27_third_derivative_magnitude(hess):
     d = np.stack([diff_shifted(hess.comp, 2 + k, h[k]) for k in range(3)])
     terms = np.ascontiguousarray(np.moveaxis(d.reshape((27,) + hess.spec.dims), 0, -1))
     return np.sqrt(np.sum(terms**2, axis=-1))
+
+
+# Row-major vector references: the vector kernels as they were written for
+# vectors stored (nx, ny, nz, 3), kept to check that the component-major
+# kernels compute the same values bit for bit.  Inputs are C-contiguous
+# (nx, ny, nz, 3) arrays; so are the vector outputs.
+
+
+def row_major_gradient_values(values, spec):
+    h = spec.spacing
+    return np.stack([diff(values, a, h[a]) for a in range(3)], axis=-1)
+
+
+def row_major_jacobian(v, spec):
+    """(nx, ny, nz, 3, 3) with J[..., a, b] = d v_b / d x_a."""
+    h = spec.spacing
+    out = np.empty(spec.dims + (3, 3))
+    for a in range(3):
+        d = diff(v, a, h[a])
+        for b in range(3):
+            out[..., a, b] = d[..., b]
+    return out
+
+
+def row_major_curl(v, spec):
+    """All nine derivatives d v_b / d x_a taken, six of them used."""
+    h = spec.spacing
+    d = [[diff(v[..., b], a, h[a]) for b in range(3)] for a in range(3)]
+    return np.stack([d[1][2] - d[2][1], d[2][0] - d[0][2], d[0][1] - d[1][0]], axis=-1)
+
+
+def row_major_matvec(mv, v):
+    """Per-cell mv v for a row-major (..., 3, 3) mv."""
+    out = np.zeros(v.shape)
+    for a in range(3):
+        out[..., a] += (mv[..., a, 0] * v[..., 0] + mv[..., a, 2] * v[..., 2]) \
+            + mv[..., a, 1] * v[..., 1]
+    return out
+
+
+def row_major_energy(x, t, cell_volume):
+    density = 0.5 * (
+        (x[..., 0] - t[..., 0]) ** 2
+        + (x[..., 1] - t[..., 1]) ** 2
+        - 2.0 * x[..., 2] * t[..., 2]
+    )
+    return float(np.sum(density) * cell_volume)
+
+
+def row_major_bbox(t):
+    flat = t.reshape(-1, 3)
+    return (tuple(float(v) for v in flat.min(axis=0)),
+            tuple(float(v) for v in flat.max(axis=0)))

@@ -2,6 +2,7 @@ import ctypes
 import json
 import re
 import resource
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 
 import semigeo.cli
 from semigeo.cli import CSV_COLUMNS, UsageError, main, parse_config
+from semigeo.diagnostics import emit_record
+from semigeo.divcurl import verify_estimate
 from semigeo.grid import GridSpec
-from semigeo.stepper import SchemeConfig, init_state, run, step
+from semigeo.stepper import SchemeConfig, compute_constants, init_state, run, step
 
 
 def vtk_block(text, header, count):
@@ -417,3 +420,33 @@ class TestPinnedHeap:
         out = tmp_path / "out"
         assert main(["--grid", "6", "--dt", "0.01", "--steps", "1", "--out", str(out)]) == 0
         assert (out / "series.csv").exists()
+
+
+class TestMemoryBound:
+    """The transient memory of a step and of a record, counted by tracemalloc
+    in whole-grid float64 arrays on the 32^3 bump.  numpy reports its buffers
+    to tracemalloc, so the count does not depend on the C library or on where
+    the heap places arrays.  Each bound is the current peak rounded up to the
+    next whole grid."""
+
+    SPEC = GridSpec(dims=(32, 32, 32))
+
+    def peak_grids(self, fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        return result, peak / (8 * self.SPEC.n_cells)
+
+    def test_step_and_record_peaks(self):
+        s = init_state("bump", self.SPEC, delta=0.01, k=1)
+        constants = compute_constants(s)
+        (new, sol, data), step_grids = self.peak_grids(lambda: step(s, 0.001))
+        _, record_grids = self.peak_grids(lambda: emit_record(
+            new, sol, constants, step=1, ratios=verify_estimate(sol.u, data, constants.p)))
+        assert step_grids <= 34
+        assert record_grids <= 24

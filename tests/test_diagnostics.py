@@ -14,6 +14,8 @@ from semigeo.diagnostics import (
 from semigeo.grid import GridSpec, ScalarField, VectorField, curl
 from semigeo.stepper import SchemeConfig, compute_constants, init_state, run
 
+from conftest import row_major_bbox, row_major_energy
+
 
 def make_spec(n):
     if isinstance(n, int):
@@ -174,6 +176,18 @@ class TestEmitRecord:
             c = compute_constants(s)
             r = emit_record(s, None, c)  # constructor validates finiteness
             assert isinstance(r, DiagnosticsRecord)
+
+    def test_energy_and_bbox_match_row_major(self):
+        spec = GridSpec(dims=(6, 7, 5), origin=(0.5, -1.0, 0.25), extents=(1.0, 2.0, 0.5))
+        rng = np.random.default_rng(32)
+        t = rng.standard_normal(spec.dims + (3,)) * np.exp(rng.uniform(-10.0, 10.0,
+                                                                     spec.dims + (3,)))
+        x = np.ascontiguousarray(spec.cell_centers())
+        assert energy(SimpleNamespace(spec=spec, grad_p=VectorField(spec, t))) == \
+            row_major_energy(x, t, spec.cell_volume)
+        s = init_state("bump", spec, delta=0.01, k=1)
+        r = emit_record(s, None, compute_constants(s))
+        assert (r.bbox_min, r.bbox_max) == row_major_bbox(np.ascontiguousarray(s.grad_p.values))
 
     def test_solution_fields_forwarded(self):
         from semigeo.stepper import step, transport_data

@@ -3,6 +3,7 @@ import pytest
 
 from semigeo.divcurl import (
     DivCurlData,
+    _matvec,
     EllipticityError,
     SingularTensorError,
     SolverConvergenceError,
@@ -25,7 +26,7 @@ from semigeo.grid import (
 )
 from semigeo.stepper import init_state, transport_data
 
-from conftest import row_major_apply_operator, row_major_invert_3x3
+from conftest import row_major_apply_operator, row_major_invert_3x3, row_major_matvec
 
 
 def make_spec(n):
@@ -457,6 +458,17 @@ class TestRowMajorReference:
                                         p.has_mixed, spec.spacing, q)
         assert np.array_equal(apply_operator(p, q), want)
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_matvec(self, symmetric):
+        rng = np.random.default_rng(24)
+        spec = make_spec((5, 6, 7))
+        t = random_spd_tensor(spec, rng) if symmetric else self.nonsymmetric(spec, rng)
+        v = rng.standard_normal(spec.dims + (3,)) * np.exp(rng.uniform(-10.0, 10.0,
+                                                                      spec.dims + (3,)))
+        want = row_major_matvec(np.ascontiguousarray(t.values), v)
+        got = _matvec(t, np.ascontiguousarray(np.moveaxis(v, -1, 0)))
+        assert np.array_equal(np.moveaxis(got, 0, -1), want)
+
     def test_velocity_is_einsum_over_row_major(self):
         # u = M (f + grad q), summed as np.einsum summed it on a row-major M
         rng = np.random.default_rng(23)
@@ -465,5 +477,6 @@ class TestRowMajorReference:
                         f=VectorField(spec, rng.standard_normal(spec.dims + (3,))))
         q = ScalarField(spec, rng.standard_normal(spec.dims))
         m = np.ascontiguousarray(invert_3x3(d.a).values)
-        want = np.einsum("...ab,...b->...a", m, d.f.values + gradient(q).values)
+        v = np.ascontiguousarray(d.f.values + gradient(q).values)  # row-major
+        want = np.einsum("...ab,...b->...a", m, v)
         assert np.array_equal(recover_velocity(d, q).values, want)

@@ -7,11 +7,13 @@ from semigeo.grid import (
     TensorField,
     VectorField,
     _third_derivative_magnitude,
+    cell_magnitude,
     curl,
     diff_shifted,
     divergence,
     eigmin_symmetric,
     gradient,
+    gradient_values,
     hessian,
     jacobian,
     lp_norm,
@@ -20,7 +22,13 @@ from semigeo.grid import (
     sum_of_squares,
 )
 
-from conftest import all_27_third_derivative_magnitude, row_major_eigmin_symmetric
+from conftest import (
+    all_27_third_derivative_magnitude,
+    row_major_curl,
+    row_major_eigmin_symmetric,
+    row_major_gradient_values,
+    row_major_jacobian,
+)
 
 
 def make_spec(n=8, extents=(1.0, 1.0, 1.0), origin=(0.0, 0.0, 0.0)):
@@ -461,3 +469,84 @@ class TestComponentMajorLayout:
         t = TensorField(spec, 0.5 * (raw + raw.swapaxes(-1, -2)), symmetric=True)
         want = row_major_eigmin_symmetric(np.ascontiguousarray(t.values))
         assert np.array_equal(eigmin_symmetric(t.values), want)
+
+    def test_eigmin_slabs_equal_whole_grid_kernel(self):
+        # 17 rows: two full slabs of 8 and a short last one
+        rng = np.random.default_rng(15)
+        spec = make_spec((17, 5, 6))
+        raw = wide_range(rng, spec.dims + (3, 3))
+        t = TensorField(spec, 0.5 * (raw + raw.swapaxes(-1, -2)), symmetric=True)
+        want = row_major_eigmin_symmetric(np.ascontiguousarray(t.values))
+        assert np.array_equal(eigmin_symmetric(t.values), want)
+
+
+class TestVectorLayout:
+    """Vectors are stored (3, nx, ny, nz); values is a view in the old
+    (nx, ny, nz, 3) layout, and every result equals the row-major one."""
+
+    def test_values_view(self):
+        rng = np.random.default_rng(40)
+        spec = make_spec((5, 6, 7))
+        rows = rng.standard_normal(spec.dims + (3,))
+        v = VectorField(spec, rows)
+        assert v.comp.shape == (3,) + spec.dims and v.comp.flags.c_contiguous
+        assert v.values.shape == spec.dims + (3,)
+        assert np.array_equal(v.values, rows)
+        assert v.values[4, 2, 6, 1] == rows[4, 2, 6, 1]
+        assert np.array_equal(v.values[..., 2], v.comp[2])
+        with pytest.raises(ValueError):
+            v.values[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            v.comp[0, 0, 0, 0] = 1.0
+        rows[0, 0, 0, 0] = 7.0  # the field copied its input
+        assert v.values[0, 0, 0, 0] != 7.0
+
+    def test_from_components_takes_over(self):
+        spec = make_spec((4, 5, 6))
+        comp = np.random.default_rng(41).standard_normal((3,) + spec.dims)
+        v = VectorField.from_components(spec, comp)
+        assert v.comp is comp and not comp.flags.writeable
+        with pytest.raises(ValueError):
+            VectorField.from_components(spec, np.zeros(spec.dims + (3,)))
+
+    @pytest.mark.parametrize("p", [2, 4, np.inf])
+    def test_vector_lp_norm_is_row_major_sum(self, p):
+        rng = np.random.default_rng(42)
+        spec = make_spec((6, 7, 5), extents=(1.0, 2.0, 0.5))
+        v = VectorField(spec, wide_range(rng, spec.dims + (3,)))
+        mag = np.sqrt(np.sum(np.ascontiguousarray(v.values) ** 2, axis=-1))
+        assert np.array_equal(cell_magnitude(v).values, mag)
+        if p == np.inf:
+            want = float(np.max(mag))
+        else:
+            want = float(np.sum(mag**p * spec.cell_volume) ** (1.0 / p))
+        assert lp_norm(v, p) == want
+
+    def test_gradient_values_match_row_major(self):
+        spec = make_spec((6, 7, 5), extents=(1.0, 2.0, 0.5))
+        q = wide_range(np.random.default_rng(43), spec.dims)
+        g = gradient_values(q, spec)
+        assert g.shape == (3,) + spec.dims and g.flags.c_contiguous
+        assert np.array_equal(np.moveaxis(g, 0, -1), row_major_gradient_values(q, spec))
+
+    def test_jacobian_matches_row_major(self):
+        spec = make_spec((6, 7, 5), extents=(1.0, 2.0, 0.5))
+        v = VectorField(spec, wide_range(np.random.default_rng(44), spec.dims + (3,)))
+        want = row_major_jacobian(np.ascontiguousarray(v.values), spec)
+        assert np.array_equal(jacobian(v).values, want)
+
+    @pytest.mark.parametrize("dims", [(4, 4, 4), (6, 7, 5), (9, 5, 8)])
+    def test_curl_matches_nine_derivative_reference(self, dims):
+        spec = make_spec(dims, extents=(1.0, 2.0, 0.5))
+        v = VectorField(spec, wide_range(np.random.default_rng(45), spec.dims + (3,)))
+        want = row_major_curl(np.ascontiguousarray(v.values), spec)
+        assert np.array_equal(curl(v).values, want)
+
+    def test_cell_centers_components_contiguous(self):
+        spec = make_spec((5, 6, 7), origin=(0.5, -1.0, 2.0), extents=(1.0, 2.0, 0.5))
+        x = spec.cell_centers()
+        assert x.shape == spec.dims + (3,)
+        for a in range(3):
+            assert x[..., a].flags.c_contiguous
+        mesh = np.meshgrid(*(spec.axis_coords(a) for a in range(3)), indexing="ij")
+        assert np.array_equal(x, np.stack(mesh, axis=-1))

@@ -25,9 +25,11 @@ from semigeo.grid import (
 from semigeo.stepper import (
     ConvexityError,
     SchemeConfig,
+    apply_rotation,
     compute_constants,
     growth_bound_check,
     init_state,
+    preset_potential,
     run,
     step,
     transport_data,
@@ -68,6 +70,27 @@ class TestInitState:
         with pytest.raises(ConvexityError) as err:
             init_state(ScalarField(spec, -0.5 * np.sum(x**2, axis=-1)))
         assert err.value.eigenvalue == pytest.approx(-1.0, abs=1e-10)
+
+    def test_presets_match_row_major_coordinates(self):
+        # |x|^2/2, a.x and x^T Q x/2 as np.sum and np.einsum take them on a
+        # row-major (nx, ny, nz, 3) coordinate array
+        spec = GridSpec(dims=(6, 7, 5), origin=(0.3, -1.1, 0.7), extents=(1.3, 2.0, 0.9))
+        x = np.ascontiguousarray(spec.cell_centers())
+        base = 0.5 * np.sum(x**2, axis=-1)
+        a = np.array([0.13, -0.071, 0.29])
+        q = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
+        assert np.array_equal(preset_potential("identity", spec), base)
+        assert np.array_equal(preset_potential("tilt", spec, tilt=a),
+                              base + np.einsum("...a,a->...", x, a))
+        assert np.array_equal(preset_potential("quadratic", spec, quad=q),
+                              0.5 * np.einsum("...a,ab,...b->...", x, q, x))
+
+    def test_apply_rotation_is_component_major(self):
+        v = np.random.default_rng(5).standard_normal((3, 4, 5, 6))
+        out = apply_rotation(v)
+        assert out.shape == v.shape
+        assert np.array_equal(out[0], -v[1]) and np.array_equal(out[1], v[0])
+        assert not np.any(out[2])
 
     def test_tilt_preserves_modulus(self):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
