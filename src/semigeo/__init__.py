@@ -29,7 +29,6 @@ from .divcurl import (
     SingularTensorError,
     SolverConvergenceError,
     invert_3x3,
-    recover_velocity,
     reduce_to_darcy,
     solve_darcy,
     solve_divcurl,
@@ -41,7 +40,6 @@ from .grid import (
     TensorField,
     VectorField,
     curl,
-    divergence,
     gradient,
     hessian,
     lp_norm,

@@ -363,10 +363,11 @@ def write_series_csv(path, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_structured_points(path, state, u_comp, step, spec) -> None:
+def write_structured_points(path, state, u_comp, step) -> None:
     """Legacy VTK structured-points snapshot: P scalar, gradP and u vectors,
     point data at cell centers, x varying fastest.  u_comp is the velocity,
     component-major (3, nx, ny, nz)."""
+    spec = state.spec
     h = spec.spacing
     nx, ny, nz = spec.dims
     n = spec.n_cells
@@ -497,7 +498,7 @@ def run_experiment(cfg: RunConfig) -> int:
         def write_snapshot(j, st, sol):
             if j > 0 and j % cfg.snap_every == 0:
                 u = sol.u.comp if sol is not None else np.zeros((3,) + spec.dims)
-                write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j, spec)
+                write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j)
 
         result = run(state, scheme, constants=constants, model=model,
                      observe=write_snapshot if "fields" in cfg.emit else None)

@@ -76,7 +76,7 @@ def constant_coriolis(spec: GridSpec, f0: float) -> CoriolisField:
 
 def linear_coriolis(spec: GridSpec, delta: float) -> CoriolisField:
     """Profile f = 1 + delta * x3."""
-    x3 = spec.cell_centers()[..., 2]
+    x3 = spec.cell_centers()[2]
     return make_coriolis_field(ScalarField(spec, 1.0 + float(delta) * x3))
 
 
@@ -98,7 +98,7 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
     # spectral norm per cell
     term = kf[:, None] * (gp[:, None] * gf[None, :]) / (f * f)
     norm = np.sqrt(sum_of_squares(list(kf * gp))) * np.sqrt(sum_of_squares(list(gf))) / f**2
-    local_lambda = eigmin_symmetric(s.hess.values)
+    local_lambda = eigmin_symmetric(s.hess.comp)
     bad = norm >= 0.5 * local_lambda
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(norm - 0.5 * local_lambda)), bad.shape)
@@ -107,8 +107,7 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
             f"modulus {float(local_lambda[idx]):.3e} at cell {tuple(int(i) for i in idx)}",
             cell=tuple(int(i) for i in idx),
         )
-    return TensorField.from_components(s.spec, s.hess.comp - term,
-                                       symmetric=bool(np.all(term == 0.0)))
+    return TensorField(s.spec, s.hess.comp - term, symmetric=bool(np.all(term == 0.0)))
 
 
 def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlData:
@@ -120,11 +119,10 @@ def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlDa
     raises PerturbationError (an EllipticityError) where it fails.
     """
     a = assemble_coriolis_coefficient(s, c)
-    x = np.moveaxis(s.spec.cell_centers(), -1, 0)
-    jw = apply_rotation(s.grad_p.comp - x)
+    jw = apply_rotation(s.grad_p.comp - s.spec.cell_centers())
     jw[0] *= c.f.values
     jw[1] *= c.f.values
-    return DivCurlData(a=a, f=VectorField.from_components(s.spec, jw))
+    return DivCurlData(a=a, f=VectorField(s.spec, jw))
 
 
 def step_coriolis(s: GeopotentialState, c: CoriolisField, epsilon: float,

@@ -85,9 +85,9 @@ def energy(s) -> float:
     x = s.spec.cell_centers()
     t = s.grad_p.comp
     density = 0.5 * (
-        (x[..., 0] - t[0]) ** 2
-        + (x[..., 1] - t[1]) ** 2
-        - 2.0 * x[..., 2] * t[2]
+        (x[0] - t[0]) ** 2
+        + (x[1] - t[1]) ** 2
+        - 2.0 * x[2] * t[2]
     )
     return float(np.sum(density) * s.spec.cell_volume)
 

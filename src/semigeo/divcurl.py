@@ -44,10 +44,8 @@ __all__ = [
     "invert_3x3",
     "reduce_to_darcy",
     "apply_operator",
-    "dense_operator",
     "solve_darcy",
     "solve_divcurl",
-    "recover_velocity",
     "verify_estimate",
 ]
 
@@ -234,7 +232,7 @@ def invert_3x3(t: TensorField) -> TensorField:
         inv[2, 0] = c02
         inv[2, 1] = a01 * a20 - a00 * a21
     inv /= det
-    return TensorField.from_components(t.spec, inv, symmetric=t.symmetric)
+    return TensorField(t.spec, inv, symmetric=t.symmetric)
 
 
 def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
@@ -255,7 +253,7 @@ def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
     )
     return DarcyProblem(
         m=m,
-        mf=VectorField.from_components(spec, mf),
+        mf=VectorField(spec, mf),
         rhs=ScalarField(spec, rhs_vals),
         m_face=m_face,
         has_mixed=off > 0.0,
@@ -279,22 +277,6 @@ def apply_operator(p: DarcyProblem, q: np.ndarray) -> np.ndarray:
             flux += _face_avg(cross, a)
         _face_diff_t(flux, a, h[a], out)
     return out
-
-
-def dense_operator(p: DarcyProblem) -> np.ndarray:
-    """Assemble the operator as a dense matrix, column by column.
-
-    Intended for oracle comparisons on small grids only.
-    """
-    n = p.spec.n_cells
-    cols = np.empty((n, n))
-    basis = np.zeros(p.spec.dims)
-    flat = basis.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        cols[:, j] = apply_operator(p, basis).reshape(-1)
-        flat[j] = 0.0
-    return cols
 
 
 def _project(x: np.ndarray) -> None:
@@ -468,7 +450,7 @@ def solve_darcy(p: DarcyProblem, tol: float = 1e-10, maxiter: int | None = None)
     u = p.mf.comp + _matvec(p.m, gradient_values(q, p.spec))
     return DarcySolution(
         q=ScalarField(p.spec, q),
-        u=VectorField.from_components(p.spec, u),
+        u=VectorField(p.spec, u),
         iterations=iters,
         residual=res,
     )
@@ -481,7 +463,7 @@ def solve_divcurl(d: DivCurlData, tol: float = 1e-10, maxiter: int | None = None
     part of the coefficient is not positive definite.
     """
     c = d.a.comp
-    sym = TensorField.from_components(d.a.spec, 0.5 * (c + c.swapaxes(0, 1)), symmetric=True)
+    sym = TensorField(d.a.spec, 0.5 * (c + c.swapaxes(0, 1)), symmetric=True)
     lam_min, cell = min_hessian_eigenvalue(sym)
     if lam_min <= 0.0:
         raise EllipticityError(
@@ -491,13 +473,6 @@ def solve_divcurl(d: DivCurlData, tol: float = 1e-10, maxiter: int | None = None
             eigenvalue=lam_min,
         )
     return solve_darcy(reduce_to_darcy(d), tol=tol, maxiter=maxiter)
-
-
-def recover_velocity(d: DivCurlData, q: ScalarField) -> VectorField:
-    """u = M (f + grad q); by construction A u - f - grad q = 0 per cell."""
-    m = invert_3x3(d.a)
-    g = gradient_values(q.values, d.a.spec)
-    return VectorField.from_components(d.a.spec, _matvec(m, d.f.comp + g))
 
 
 def _w1p_norm(v: VectorField, p) -> float:
@@ -510,7 +485,7 @@ def verify_estimate(u: VectorField, d: DivCurlData, p) -> EstimateRatios:
     f_norm = lp_norm(curl(d.f), p)
     if f_norm == 0.0:
         return EstimateRatios(None, None)
-    au = VectorField.from_components(u.spec, _matvec(d.a, u.comp))
+    au = VectorField(u.spec, _matvec(d.a, u.comp))
     return EstimateRatios(
         u_ratio=_w1p_norm(u, p) / f_norm,
         au_ratio=_w1p_norm(au, p) / f_norm,

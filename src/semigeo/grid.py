@@ -21,7 +21,6 @@ __all__ = [
     "gradient",
     "hessian",
     "jacobian",
-    "divergence",
     "curl",
     "cell_magnitude",
     "lp_norm",
@@ -79,12 +78,12 @@ class GridSpec:
         return self.origin[axis] + (np.arange(n) + 0.5) * h
 
     def cell_centers(self) -> np.ndarray:
-        """(nx, ny, nz, 3) array of cell-center coordinates: a view of one
-        component-major array, so each x[..., a] is contiguous."""
-        comp = np.empty((3,) + self.dims)
+        """(3, nx, ny, nz) array of cell-center coordinates, component-major:
+        x[a] is coordinate a of every cell."""
+        x = np.empty((3,) + self.dims)
         for a in range(3):
-            comp[a] = self.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
-        return np.moveaxis(comp, 0, -1)
+            x[a] = self.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
+        return x
 
     def corner_radius(self) -> float:
         """max |y| over the closed box (attained at a corner)."""
@@ -110,6 +109,11 @@ def _frozen_array(values, shape) -> np.ndarray:
     return _freeze(np.array(values, dtype=float), shape)
 
 
+def _own(comp, shape) -> np.ndarray:
+    """Take a C-contiguous float64 array over as it is; copy any other."""
+    return _freeze(np.ascontiguousarray(comp, dtype=float), shape)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     spec: GridSpec
@@ -119,85 +123,37 @@ class ScalarField:
         object.__setattr__(self, "values", _frozen_array(self.values, self.spec.dims))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class VectorField:
-    """A 3-vector per cell, stored component-major.
-
-    comp is one C-contiguous (3, nx, ny, nz) array: comp[a] holds component a
-    of every cell contiguously.  values is a read-only (nx, ny, nz, 3) view of
-    the same memory, indexed values[..., a] as before.
-    """
+    """A 3-vector per cell, stored component-major: comp is one C-contiguous
+    (3, nx, ny, nz) array, comp[a] component a of every cell.  The field
+    takes comp over without a copy and makes it read-only."""
 
     spec: GridSpec
-    comp: np.ndarray  # (3, nx, ny, nz)
+    comp: np.ndarray
 
-    def __init__(self, spec: GridSpec, values):
-        """values has shape (nx, ny, nz, 3) and is copied."""
-        arr = np.asarray(values, dtype=float)
-        shape = spec.dims + (3,)
-        if arr.shape != shape:
-            raise ValueError(f"field values have shape {arr.shape}, expected {shape}")
-        self._own(spec, np.moveaxis(arr, -1, 0).copy())
-
-    @classmethod
-    def from_components(cls, spec: GridSpec, comp: np.ndarray) -> VectorField:
-        """Wrap a C-contiguous (3, nx, ny, nz) array without copying; the
-        field takes it over and makes it read-only."""
-        field = cls.__new__(cls)
-        field._own(spec, np.ascontiguousarray(comp, dtype=float))
-        return field
-
-    def _own(self, spec: GridSpec, comp: np.ndarray) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "comp", _freeze(comp, (3,) + spec.dims))
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.moveaxis(self.comp, 0, -1)
+    def __post_init__(self):
+        object.__setattr__(self, "comp", _own(self.comp, (3,) + self.spec.dims))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TensorField:
-    """A 3x3 tensor per cell, stored component-major.
-
-    comp is one C-contiguous (3, 3, nx, ny, nz) array: comp[a, b] holds
-    component (a, b) of every cell contiguously, which is what the per-cell
-    kernels read and write.  values is a read-only (nx, ny, nz, 3, 3) view of
-    the same memory, indexed values[..., a, b] as before.
-    """
+    """A 3x3 tensor per cell, stored component-major: comp is one C-contiguous
+    (3, 3, nx, ny, nz) array, comp[a, b] component (a, b) of every cell.  The
+    field takes comp over without a copy and makes it read-only; symmetric
+    marks a tensor that is exactly symmetric, which is checked."""
 
     spec: GridSpec
-    comp: np.ndarray  # (3, 3, nx, ny, nz)
+    comp: np.ndarray
     symmetric: bool = False
 
-    def __init__(self, spec: GridSpec, values, symmetric: bool = False):
-        """values has shape (nx, ny, nz, 3, 3) and is copied."""
-        arr = np.asarray(values, dtype=float)
-        shape = spec.dims + (3, 3)
-        if arr.shape != shape:
-            raise ValueError(f"field values have shape {arr.shape}, expected {shape}")
-        self._own(spec, np.moveaxis(arr, (-2, -1), (0, 1)).copy(), symmetric)
-
-    @classmethod
-    def from_components(cls, spec: GridSpec, comp: np.ndarray,
-                        symmetric: bool = False) -> TensorField:
-        """Wrap a C-contiguous (3, 3, nx, ny, nz) array without copying; the
-        field takes it over and makes it read-only."""
-        field = cls.__new__(cls)
-        field._own(spec, np.ascontiguousarray(comp, dtype=float), symmetric)
-        return field
-
-    def _own(self, spec: GridSpec, comp: np.ndarray, symmetric: bool) -> None:
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "comp", _freeze(comp, (3, 3) + spec.dims))
-        object.__setattr__(self, "symmetric", bool(symmetric))
-        if symmetric and not all(np.array_equal(comp[a, b], comp[b, a])
-                                 for a in range(3) for b in range(a + 1, 3)):
+    def __post_init__(self):
+        comp = _own(self.comp, (3, 3) + self.spec.dims)
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "symmetric", bool(self.symmetric))
+        if self.symmetric and not all(np.array_equal(comp[a, b], comp[b, a])
+                                      for a in range(3) for b in range(a + 1, 3)):
             raise ValueError("symmetric flag set but tensor values are not exactly symmetric")
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.moveaxis(self.comp, (0, 1), (-2, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +233,7 @@ def gradient_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def gradient(s: ScalarField) -> VectorField:
     """Componentwise stencil gradient of a scalar field."""
-    return VectorField.from_components(s.spec, gradient_values(s.values, s.spec))
+    return VectorField(s.spec, gradient_values(s.values, s.spec))
 
 
 def hessian(s: ScalarField) -> TensorField:
@@ -297,7 +253,7 @@ def hessian(s: ScalarField) -> TensorField:
             mixed = diff(da, b, h[b])
             out[a, b] = mixed
             out[b, a] = mixed
-    return TensorField.from_components(s.spec, out, symmetric=True)
+    return TensorField(s.spec, out, symmetric=True)
 
 
 def jacobian(v: VectorField) -> TensorField:
@@ -307,15 +263,7 @@ def jacobian(v: VectorField) -> TensorField:
     for a in range(3):
         for b in range(3):
             out[a, b] = diff(v.comp[b], a, h[a])
-    return TensorField.from_components(v.spec, out, symmetric=False)
-
-
-def divergence(v: VectorField) -> ScalarField:
-    h = v.spec.spacing
-    out = diff(v.comp[0], 0, h[0])
-    out += diff(v.comp[1], 1, h[1])
-    out += diff(v.comp[2], 2, h[2])
-    return ScalarField(v.spec, out)
+    return TensorField(v.spec, out, symmetric=False)
 
 
 def curl(v: VectorField) -> VectorField:
@@ -329,7 +277,7 @@ def curl(v: VectorField) -> VectorField:
     np.subtract(d(1, 2), d(2, 1), out=out[0])
     np.subtract(d(2, 0), d(0, 2), out=out[1])
     np.subtract(d(0, 1), d(1, 0), out=out[2])
-    return VectorField.from_components(v.spec, out)
+    return VectorField(v.spec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -451,31 +399,25 @@ def sobolev_norm(grad_lp: float, hess_lp: float, hess: TensorField, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def eigmin_symmetric(values: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of each symmetric 3x3 matrix in an (n0, ..., 3, 3)
-    array.
+def eigmin_symmetric(comp: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each symmetric 3x3 matrix in a component-major
+    (3, 3, n0, ...) array, such as a TensorField's comp.
 
     Closed-form solve of the characteristic polynomial (trigonometric method);
-    exactly the diagonal minimum for diagonal matrices.  Each component is
-    read once, as values[..., a, b]; on a TensorField's values view that is a
-    contiguous array.  The kernel is elementwise, so it runs in slabs of rows
-    along axis 0 into one output array, and its dozen temporaries never span
-    the whole grid.
+    exactly the diagonal minimum for diagonal matrices.  The kernel is
+    elementwise, so it runs in slabs of rows along the first grid axis into
+    one output array, and its dozen temporaries never span the whole grid.
     """
     rows = 8
-    out = np.empty(values.shape[:-2])
+    out = np.empty(comp.shape[2:])
     for i0 in range(0, out.shape[0], rows):
-        out[i0:i0 + rows] = _eigmin_rows(values[i0:i0 + rows])
+        out[i0:i0 + rows] = _eigmin_rows(comp[:, :, i0:i0 + rows])
     return out
 
 
-def _eigmin_rows(values: np.ndarray) -> np.ndarray:
-    a00 = values[..., 0, 0]
-    a11 = values[..., 1, 1]
-    a22 = values[..., 2, 2]
-    a01 = values[..., 0, 1]
-    a02 = values[..., 0, 2]
-    a12 = values[..., 1, 2]
+def _eigmin_rows(c: np.ndarray) -> np.ndarray:
+    a00, a11, a22 = c[0, 0], c[1, 1], c[2, 2]
+    a01, a02, a12 = c[0, 1], c[0, 2], c[1, 2]
 
     p1 = a01**2 + a02**2 + a12**2
     q = (a00 + a11 + a22) / 3.0
@@ -507,7 +449,7 @@ def min_hessian_eigenvalue(t: TensorField) -> tuple[float, tuple[int, int, int]]
     """Global minimum over cells of the smallest eigenvalue, with its cell."""
     if not t.symmetric:
         raise ValueError("min_hessian_eigenvalue requires a symmetric tensor field")
-    lam = eigmin_symmetric(t.values)
+    lam = eigmin_symmetric(t.comp)
     flat = int(np.argmin(lam))
     idx = np.unravel_index(flat, lam.shape)
     return float(lam[idx]), tuple(int(i) for i in idx)

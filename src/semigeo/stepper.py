@@ -133,30 +133,30 @@ def preset_potential(name: str, spec: GridSpec, *, tilt=None, quad=None,
     bump:       |x|^2 / 2 + delta * prod_i sin(k pi xi_i), xi in unit coords
     """
     x = spec.cell_centers()
-    base = 0.5 * sum_of_squares([x[..., a] for a in range(3)])
+    base = 0.5 * sum_of_squares(list(x))
     if name == "identity":
         return base
     if name == "tilt":
         a = np.asarray(tilt if tilt is not None else (0.1, 0.0, 0.0), dtype=float)
         # a.x summed in the order np.einsum("...a,a->...") takes on a row-major x
-        return base + ((x[..., 0] * a[0] + x[..., 2] * a[2]) + x[..., 1] * a[1])
+        return base + ((x[0] * a[0] + x[2] * a[2]) + x[1] * a[1])
     if name == "quadratic":
         q = np.asarray(quad if quad is not None else (2.0, 1.0, 0.5), dtype=float)
         if q.shape == (3,):
             q = np.diag(q)
         if q.shape != (3, 3):
             raise ValueError("quadratic preset needs a 3-vector diagonal or a 3x3 matrix")
-        return 0.5 * np.einsum("...a,ab,...b->...", x, q, x)
+        return 0.5 * np.einsum("a...,ab,b...->...", x, q, x)
     if name == "bump":
-        xi = [(x[..., a] - spec.origin[a]) / spec.extents[a] for a in range(3)]
+        xi = [(x[a] - spec.origin[a]) / spec.extents[a] for a in range(3)]
         wave = np.prod([np.sin(k * np.pi * c) for c in xi], axis=0)
         return base + float(delta) * wave
     raise ValueError(f"unknown preset {name!r}")
 
 
-def init_state(source, spec: GridSpec | None = None, *, time: float = 0.0,
+def init_state(source: str | ScalarField, spec: GridSpec | None = None, *, time: float = 0.0,
                **preset_params) -> GeopotentialState:
-    """Build the initial state from a preset name, a ScalarField, or raw values.
+    """Build the initial state from a preset name or a ScalarField.
 
     Rejects potentials that are not uniformly convex on the grid, reporting
     the offending cell and eigenvalue.
@@ -165,13 +165,9 @@ def init_state(source, spec: GridSpec | None = None, *, time: float = 0.0,
         if spec is None:
             raise ValueError("a GridSpec is required with a preset name")
         values = preset_potential(source, spec, **preset_params)
-    elif isinstance(source, ScalarField):
+    else:
         spec = source.spec
         values = source.values
-    else:
-        if spec is None:
-            raise ValueError("a GridSpec is required with raw values")
-        values = np.asarray(source, dtype=float)
     return _build_state(values, spec, time)
 
 
@@ -208,8 +204,7 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
         raise ValueError("c_star and c_m must be positive")
     spec = s.spec
     volume_term = spec.volume ** (1.0 / p)
-    jx_lp = lp_norm(VectorField.from_components(
-        spec, apply_rotation(np.moveaxis(spec.cell_centers(), -1, 0))), p)  # |J x|_p
+    jx_lp = lp_norm(VectorField(spec, apply_rotation(spec.cell_centers())), p)  # |J x|_p
     omega = jx_lp + math.sqrt(2.0) * volume_term
     frob = cell_magnitude(s.hess)  # for |D2P|_p and |D2P|_inf
     grad_norm = sobolev_norm(lp_norm(s.grad_p, p), lp_norm(frob, p), s.hess, p)
@@ -236,9 +231,8 @@ def transport_data(s: GeopotentialState) -> DivCurlData:
     The base model: A is certified by step's convexity guard, since D2P is
     exactly symmetric and its smallest eigenvalue is s.lambda_min.
     """
-    x = np.moveaxis(s.spec.cell_centers(), -1, 0)
-    f = apply_rotation(s.grad_p.comp - x)
-    return DivCurlData(a=s.hess, f=VectorField.from_components(s.spec, f))
+    f = apply_rotation(s.grad_p.comp - s.spec.cell_centers())
+    return DivCurlData(a=s.hess, f=VectorField(s.spec, f))
 
 
 def step(s: GeopotentialState, epsilon: float, model=transport_data, tol: float = 1e-10,

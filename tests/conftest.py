@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from semigeo.grid import TensorField, diff, diff_shifted
+from semigeo.divcurl import _matvec, apply_operator, invert_3x3
+from semigeo.grid import (
+    ScalarField,
+    TensorField,
+    VectorField,
+    diff,
+    diff_shifted,
+    gradient_values,
+)
 from semigeo.stepper import run
 
 
@@ -20,18 +28,62 @@ def run_states():
 def mean_tilt(s):
     """Volume mean of grad P - x; recovers a exactly on tilt-type states."""
     return np.array([
-        float(np.mean(s.grad_p.values[..., a] - s.spec.cell_centers()[..., a]))
+        float(np.mean(s.grad_p.comp[a] - s.spec.cell_centers()[a]))
         for a in range(3)
     ])
 
 
 def kf_inverse(c):
     """Per-cell diag(f, f, 1) of a Coriolis field."""
-    vals = np.zeros(c.spec.dims + (3, 3))
-    vals[..., 0, 0] = c.f.values
-    vals[..., 1, 1] = c.f.values
-    vals[..., 2, 2] = 1.0
-    return TensorField(c.spec, vals, symmetric=True)
+    comp = np.zeros((3, 3) + c.spec.dims)
+    comp[0, 0] = c.f.values
+    comp[1, 1] = c.f.values
+    comp[2, 2] = 1.0
+    return TensorField(c.spec, comp, symmetric=True)
+
+
+def divergence(v):
+    """Stencil divergence of a vector field."""
+    h = v.spec.spacing
+    out = diff(v.comp[0], 0, h[0])
+    out += diff(v.comp[1], 1, h[1])
+    out += diff(v.comp[2], 2, h[2])
+    return ScalarField(v.spec, out)
+
+
+def dense_operator(p):
+    """The assembled Darcy operator as a dense matrix, column by column; for
+    oracle comparisons on small grids."""
+    n = p.spec.n_cells
+    cols = np.empty((n, n))
+    basis = np.zeros(p.spec.dims)
+    flat = basis.reshape(-1)
+    for j in range(n):
+        flat[j] = 1.0
+        cols[:, j] = apply_operator(p, basis).reshape(-1)
+        flat[j] = 0.0
+    return cols
+
+
+def recover_velocity(d, q):
+    """u = M (f + grad q) for div-curl data d and a potential q; by
+    construction A u - f - grad q = 0 per cell."""
+    m = invert_3x3(d.a)
+    g = gradient_values(q.values, d.a.spec)
+    return VectorField(d.a.spec, _matvec(m, d.f.comp + g))
+
+
+def per_cell(m, spec):
+    """A 3-vector or 3x3 matrix m in every cell, component-major."""
+    m = np.asarray(m, dtype=float)
+    return np.tile(m.reshape(m.shape + (1, 1, 1)), (1,) * m.ndim + spec.dims)
+
+
+def row_major(field):
+    """A contiguous row-major copy of a vector or tensor field's components:
+    (nx, ny, nz, 3) or (nx, ny, nz, 3, 3), for the references below."""
+    lead = field.comp.ndim - 3
+    return np.ascontiguousarray(np.moveaxis(field.comp, range(lead), range(-lead, 0)))
 
 
 # Row-major references: the per-cell tensor kernels as they were written for

@@ -22,13 +22,7 @@ from semigeo.diagnostics import (
     pushforward_histogram,
     support_bound_check,
 )
-from semigeo.divcurl import (
-    DivCurlData,
-    apply_operator,
-    recover_velocity,
-    reduce_to_darcy,
-    solve_darcy,
-)
+from semigeo.divcurl import DivCurlData, reduce_to_darcy, solve_darcy
 from semigeo.grid import GridSpec, ScalarField, TensorField, VectorField
 from semigeo.stepper import (
     SchemeConfig,
@@ -38,7 +32,7 @@ from semigeo.stepper import (
     transport_data,
 )
 
-from conftest import mean_tilt
+from conftest import dense_operator, mean_tilt, recover_velocity
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 GRID16 = GridSpec(dims=(16, 16, 16))
@@ -78,7 +72,7 @@ def test_criterion_1_fixed_point(run_states):
     s = init_state("identity", GRID16)
     res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=100, record_every=100))
     x = GRID16.cell_centers()
-    dev = max(float(np.max(np.abs(st.grad_p.values - x))) for st in states)
+    dev = max(float(np.max(np.abs(st.grad_p.comp - x))) for st in states)
     report(1, "fixed point", res.halt_reason == "completed" and dev <= 1e-8,
            f"max |grad P - x| = {dev:.3e}")
 
@@ -112,25 +106,25 @@ def test_criterion_2_inertial_oscillation():
 def _manufactured(n):
     spec = GridSpec(dims=(n, n, n))
     x = spec.cell_centers()
-    X, Y, Z = x[..., 0], x[..., 1], x[..., 2]
+    X, Y, Z = x
     pi = np.pi
     g = np.exp(Z)
     u_star = np.stack(
         [pi * np.sin(pi * X) * np.cos(pi * Y) * g,
          -pi * np.cos(pi * X) * np.sin(pi * Y) * g,
-         np.zeros_like(X)], axis=-1)
+         np.zeros_like(X)])
     grad_q = np.stack(
         [-pi * np.sin(pi * X) * np.cos(pi * Y) * np.cos(pi * Z),
          -pi * np.cos(pi * X) * np.sin(pi * Y) * np.cos(pi * Z),
-         -pi * np.cos(pi * X) * np.cos(pi * Y) * np.sin(pi * Z)], axis=-1)
-    a = np.zeros(spec.dims + (3, 3))
-    a[..., 0, 0] = 1.5 + 0.4 * np.sin(pi * Y)
-    a[..., 1, 1] = 1.2 + 0.3 * Z * Z
-    a[..., 2, 2] = 1.0 + 0.5 * X
-    a[..., 0, 1] = a[..., 1, 0] = 0.25 * np.cos(pi * X) * np.cos(pi * Z)
-    a[..., 0, 2] = a[..., 2, 0] = 0.2 * np.cos(pi * Y)
-    a[..., 1, 2] = a[..., 2, 1] = 0.15 * np.cos(pi * Z)
-    f = np.einsum("...ab,...b->...a", a, u_star) - grad_q
+         -pi * np.cos(pi * X) * np.cos(pi * Y) * np.sin(pi * Z)])
+    a = np.zeros((3, 3) + spec.dims)
+    a[0, 0] = 1.5 + 0.4 * np.sin(pi * Y)
+    a[1, 1] = 1.2 + 0.3 * Z * Z
+    a[2, 2] = 1.0 + 0.5 * X
+    a[0, 1] = a[1, 0] = 0.25 * np.cos(pi * X) * np.cos(pi * Z)
+    a[0, 2] = a[2, 0] = 0.2 * np.cos(pi * Y)
+    a[1, 2] = a[2, 1] = 0.15 * np.cos(pi * Z)
+    f = np.einsum("ab...,b...->a...", a, u_star) - grad_q
     d = DivCurlData(a=TensorField(spec, a, symmetric=True), f=VectorField(spec, f))
     return spec, d, u_star
 
@@ -140,7 +134,7 @@ def test_criterion_3_manufactured_convergence():
     for n in (8, 16, 32):
         spec, d, u_star = _manufactured(n)
         sol = solve_darcy(reduce_to_darcy(d), tol=1e-10)
-        errs.append(float(np.sqrt(np.sum((sol.u.values - u_star) ** 2) * spec.cell_volume)))
+        errs.append(float(np.sqrt(np.sum((sol.u.comp - u_star) ** 2) * spec.cell_volume)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 3.4 <= r1 <= 4.6 and 3.4 <= r2 <= 4.6
     report(3, "manufactured div-curl convergence", ok,
@@ -150,13 +144,7 @@ def test_criterion_3_manufactured_convergence():
 
 def _dense_reference(problem):
     n = problem.spec.n_cells
-    mat = np.empty((n, n))
-    basis = np.zeros(problem.spec.dims)
-    flat = basis.reshape(-1)
-    for j in range(n):
-        flat[j] = 1.0
-        mat[:, j] = apply_operator(problem, basis).reshape(-1)
-        flat[j] = 0.0
+    mat = dense_operator(problem)
     b = problem.rhs.values.reshape(-1)
     q = np.linalg.solve(mat + np.ones((n, n)) / n, b - b.mean())
     return q.reshape(problem.spec.dims)
@@ -176,7 +164,7 @@ def test_criterion_4_dense_oracle():
             q_ref = _dense_reference(p)
             u_ref = recover_velocity(d, ScalarField(spec, q_ref))
             rel_q = np.linalg.norm(sol.q.values - q_ref) / np.linalg.norm(q_ref)
-            rel_u = np.linalg.norm(sol.u.values - u_ref.values) / np.linalg.norm(u_ref.values)
+            rel_u = np.linalg.norm(sol.u.comp - u_ref.comp) / np.linalg.norm(u_ref.comp)
             worst = max(worst, rel_q, rel_u)
     report(4, "dense-oracle equivalence", worst <= 1e-9, f"worst rel err {worst:.3e}")
 

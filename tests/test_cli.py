@@ -205,7 +205,7 @@ class TestRunExperiment:
         _, states = run_states(init_state("tilt", GridSpec(dims=(6, 6, 6)), tilt=(0.1, 0.0, 0.0)),
                                SchemeConfig(epsilon=0.01, n_steps=4))
         _, sol, _ = step(states[2], 0.01)
-        want = sol.u.values.transpose(2, 1, 0, 3).reshape(-1, 3)
+        want = sol.u.comp.transpose(3, 2, 1, 0).reshape(-1, 3)
         text = (out / "fields_0002.vtk").read_text().splitlines()
         assert np.max(np.abs(vtk_block(text, "VECTORS u double", 6 ** 3) - want)) <= 1e-14
         assert np.max(np.abs(want)) > 0.0

@@ -16,7 +16,7 @@ from semigeo.divcurl import apply_operator, reduce_to_darcy
 from semigeo.grid import GridSpec, ScalarField
 from semigeo.stepper import SchemeConfig, init_state, run, step
 
-from conftest import kf_inverse, mean_tilt
+from conftest import kf_inverse, mean_tilt, per_cell
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -36,31 +36,31 @@ class TestCoriolisField:
     def test_linear_profile(self):
         spec = make_spec(8)
         c = linear_coriolis(spec, 0.1)
-        x3 = spec.cell_centers()[..., 2]
+        x3 = spec.cell_centers()[2]
         assert np.allclose(c.f.values, 1.0 + 0.1 * x3)
-        assert np.allclose(c.grad_f.values[..., 2], 0.1, atol=1e-13)
-        assert np.max(np.abs(c.grad_f.values[..., :2])) < 1e-13
+        assert np.allclose(c.grad_f.comp[2], 0.1, atol=1e-13)
+        assert np.max(np.abs(c.grad_f.comp[:2])) < 1e-13
 
 
 class TestKfInverse:
     def test_unit_field(self):
         spec = make_spec(6)
         t = kf_inverse(constant_coriolis(spec, 1.0))
-        assert np.max(np.abs(t.values - np.eye(3))) == 0.0
+        assert np.max(np.abs(t.comp - per_cell(np.eye(3), spec))) == 0.0
 
     def test_constant_two(self):
         spec = make_spec(6)
         t = kf_inverse(constant_coriolis(spec, 2.0))
-        assert np.max(np.abs(t.values - np.diag([2.0, 2.0, 1.0]))) == 0.0
+        assert np.max(np.abs(t.comp - per_cell(np.diag([2.0, 2.0, 1.0]), spec))) == 0.0
 
     def test_pointwise_profile(self):
         spec = make_spec(8)
         c = linear_coriolis(spec, 0.1)
         t = kf_inverse(c)
         f = c.f.values
-        assert np.max(np.abs(t.values[..., 0, 0] - f)) < 1e-15
-        assert np.max(np.abs(t.values[..., 1, 1] - f)) < 1e-15
-        assert np.max(np.abs(t.values[..., 2, 2] - 1.0)) < 1e-15
+        assert np.max(np.abs(t.comp[0, 0] - f)) < 1e-15
+        assert np.max(np.abs(t.comp[1, 1] - f)) < 1e-15
+        assert np.max(np.abs(t.comp[2, 2] - 1.0)) < 1e-15
 
 
 class TestAssembleCoefficient:
@@ -69,7 +69,7 @@ class TestAssembleCoefficient:
         s = init_state("identity", spec)
         a = assemble_coriolis_coefficient(s, constant_coriolis(spec, 0.8))
         assert a.symmetric
-        assert np.array_equal(a.values, s.hess.values)
+        assert np.array_equal(a.comp, s.hess.comp)
 
     def test_identity_preset_closed_form(self):
         # oracle: with P = |x|^2/2 and f = 1 + d x3 the correction is
@@ -81,11 +81,11 @@ class TestAssembleCoefficient:
         a = assemble_coriolis_coefficient(s, c)
         x = spec.cell_centers()
         f = c.f.values
-        want = np.tile(np.eye(3), spec.dims + (1, 1))
+        want = per_cell(np.eye(3), spec)
         for i in range(3):
             scale = np.where(np.array([True, True, False])[i], f, 1.0)
-            want[..., i, 2] -= scale * x[..., i] * delta / f**2
-        assert np.max(np.abs(a.values - want)) < 1e-13
+            want[i, 2] -= scale * x[i] * delta / f**2
+        assert np.max(np.abs(a.comp - want)) < 1e-13
         assert not a.symmetric
 
     def test_linear_in_delta(self):
@@ -93,18 +93,18 @@ class TestAssembleCoefficient:
         spec = make_spec(8)
         s = init_state("identity", spec)
         d1 = np.max(np.abs(
-            assemble_coriolis_coefficient(s, linear_coriolis(spec, 0.08)).values
-            - s.hess.values))
+            assemble_coriolis_coefficient(s, linear_coriolis(spec, 0.08)).comp
+            - s.hess.comp))
         d2 = np.max(np.abs(
-            assemble_coriolis_coefficient(s, linear_coriolis(spec, 0.04)).values
-            - s.hess.values))
+            assemble_coriolis_coefficient(s, linear_coriolis(spec, 0.04)).comp
+            - s.hess.comp))
         assert d1 / d2 == pytest.approx(2.0, rel=0.1)
 
     def test_dominance_enforced(self):
         # a steep rotation gradient must be rejected with the worst cell
         spec = make_spec(8)
         s = init_state("identity", spec)
-        x3 = spec.cell_centers()[..., 2]
+        x3 = spec.cell_centers()[2]
         c = make_coriolis_field(ScalarField(spec, 0.2 + 2.0 * x3))
         with pytest.raises(PerturbationError) as err:
             assemble_coriolis_coefficient(s, c)
@@ -118,7 +118,7 @@ class TestStepCoriolis:
         base_new, base_sol, _ = step(s, 0.01, tol=1e-11)
         cor_new, cor_sol, _ = step_coriolis(s, constant_coriolis(spec, 1.0), 0.01, tol=1e-11)
         assert np.max(np.abs(cor_new.p.values - base_new.p.values)) < 1e-12
-        assert np.max(np.abs(cor_sol.u.values - base_sol.u.values)) < 1e-12
+        assert np.max(np.abs(cor_sol.u.comp - base_sol.u.comp)) < 1e-12
 
     def test_constant_f_scales_tilt_rotation(self):
         # oracle: constant-coefficient ODE a' = f0 J a, forward Euler

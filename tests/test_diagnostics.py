@@ -14,7 +14,7 @@ from semigeo.diagnostics import (
 from semigeo.grid import GridSpec, ScalarField, VectorField, curl
 from semigeo.stepper import SchemeConfig, compute_constants, init_state, run
 
-from conftest import row_major_bbox, row_major_energy
+from conftest import row_major, row_major_bbox, row_major_energy
 
 
 def make_spec(n):
@@ -136,8 +136,8 @@ class TestCurlResidual:
         # a field with a nonzero curl, on an anisotropic grid; (5, 6, 7) has
         # a one-cell-thick block
         spec = GridSpec(dims=dims, extents=(1.0, 2.0, 0.5))
-        v = VectorField(spec, np.random.default_rng(31).standard_normal(dims + (3,)))
-        c = curl(v).values[2:-2, 2:-2, 2:-2]
+        v = VectorField(spec, np.random.default_rng(31).standard_normal((3,) + dims))
+        c = row_major(curl(v))[2:-2, 2:-2, 2:-2]
         want = float(np.max(np.sqrt(np.sum(c**2, axis=-1))))
         assert want > 1.0
         assert curl_residual(SimpleNamespace(spec=spec, grad_p=v)) == want
@@ -180,14 +180,14 @@ class TestEmitRecord:
     def test_energy_and_bbox_match_row_major(self):
         spec = GridSpec(dims=(6, 7, 5), origin=(0.5, -1.0, 0.25), extents=(1.0, 2.0, 0.5))
         rng = np.random.default_rng(32)
-        t = rng.standard_normal(spec.dims + (3,)) * np.exp(rng.uniform(-10.0, 10.0,
-                                                                     spec.dims + (3,)))
-        x = np.ascontiguousarray(spec.cell_centers())
-        assert energy(SimpleNamespace(spec=spec, grad_p=VectorField(spec, t))) == \
-            row_major_energy(x, t, spec.cell_volume)
+        t = VectorField(spec, rng.standard_normal((3,) + spec.dims)
+                        * np.exp(rng.uniform(-10.0, 10.0, (3,) + spec.dims)))
+        x = VectorField(spec, spec.cell_centers())
+        assert energy(SimpleNamespace(spec=spec, grad_p=t)) == \
+            row_major_energy(row_major(x), row_major(t), spec.cell_volume)
         s = init_state("bump", spec, delta=0.01, k=1)
         r = emit_record(s, None, compute_constants(s))
-        assert (r.bbox_min, r.bbox_max) == row_major_bbox(np.ascontiguousarray(s.grad_p.values))
+        assert (r.bbox_min, r.bbox_max) == row_major_bbox(row_major(s.grad_p))
 
     def test_solution_fields_forwarded(self):
         from semigeo.stepper import step, transport_data
@@ -206,5 +206,5 @@ class TestEmitRecord:
         s = init_state("bump", make_spec(8), delta=0.01, k=1)
         c = compute_constants(s)
         r = emit_record(s, None, c)
-        ref = float(np.min(np.linalg.eigvalsh(s.hess.values)[..., 0]))
+        ref = float(np.min(np.linalg.eigvalsh(row_major(s.hess))[..., 0]))
         assert r.lambda_min == pytest.approx(ref, abs=1e-11)

@@ -35,7 +35,7 @@ from semigeo.stepper import (
     transport_data,
 )
 
-from conftest import mean_tilt
+from conftest import mean_tilt, row_major
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -61,21 +61,21 @@ class TestInitState:
         delta, k = 0.01, 1
         s = init_state("bump", make_spec(16), delta=delta, k=k)
         assert 1.0 - delta * 3.0 * (k * np.pi) ** 2 <= s.lambda0 <= 1.0
-        lam_ref = float(np.min(np.linalg.eigvalsh(s.hess.values)[..., 0]))
+        lam_ref = float(np.min(np.linalg.eigvalsh(row_major(s.hess))[..., 0]))
         assert s.lambda_min == pytest.approx(lam_ref, abs=1e-11)
 
     def test_rejects_nonconvex(self):
         spec = make_spec(6)
         x = spec.cell_centers()
         with pytest.raises(ConvexityError) as err:
-            init_state(ScalarField(spec, -0.5 * np.sum(x**2, axis=-1)))
+            init_state(ScalarField(spec, -0.5 * np.sum(x**2, axis=0)))
         assert err.value.eigenvalue == pytest.approx(-1.0, abs=1e-10)
 
     def test_presets_match_row_major_coordinates(self):
         # |x|^2/2, a.x and x^T Q x/2 as np.sum and np.einsum take them on a
         # row-major (nx, ny, nz, 3) coordinate array
         spec = GridSpec(dims=(6, 7, 5), origin=(0.3, -1.1, 0.7), extents=(1.3, 2.0, 0.9))
-        x = np.ascontiguousarray(spec.cell_centers())
+        x = np.ascontiguousarray(np.moveaxis(spec.cell_centers(), 0, -1))
         base = 0.5 * np.sum(x**2, axis=-1)
         a = np.array([0.13, -0.071, 0.29])
         q = np.array([[2.0, 0.3, -0.1], [0.3, 1.0, 0.2], [-0.1, 0.2, 0.5]])
@@ -114,7 +114,7 @@ class TestComputeConstants:
         spec = make_spec((7, 8, 6))
         x = spec.cell_centers()
         noise = 1e-4 * np.random.default_rng(23).standard_normal(spec.dims)
-        s = init_state(0.5 * np.sum(x**2, axis=-1) + noise, spec)
+        s = init_state(ScalarField(spec, 0.5 * np.sum(x**2, axis=0) + noise))
         c = compute_constants(s, p=4.0)
         alpha = 1.0 - 3.0 / 4.0
         quotient = 0.0
@@ -149,7 +149,7 @@ class TestComputeConstants:
         # is the rotation field up to a quarter turn
         spec = GridSpec(dims=(6, 7, 9), origin=(-0.3, 0.2, 1.0), extents=(1.0, 2.0, 0.5))
         x = spec.cell_centers()
-        horizontal = ScalarField(spec, 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2))
+        horizontal = ScalarField(spec, 0.5 * (x[0] ** 2 + x[1] ** 2))
         grad, hess = gradient(horizontal), hessian(horizontal)
         want = sobolev_norm(lp_norm(grad, p), lp_norm(hess, p), hess, p)
         omega = compute_constants(init_state("identity", spec), p=p).omega
@@ -162,7 +162,7 @@ class TestStep:
         s = init_state("identity", spec)
         new, sol, _ = step(s, 0.01, tol=1e-10)
         x = spec.cell_centers()
-        assert np.max(np.abs(new.grad_p.values - x)) < 1e-9
+        assert np.max(np.abs(new.grad_p.comp - x)) < 1e-9
         assert sol.iterations <= 1
 
     def test_tilt_single_step_rotation(self):
@@ -175,7 +175,7 @@ class TestStep:
         got = mean_tilt(new)
         assert np.max(np.abs(got[:2] - want_h)) < 1e-11
         assert abs(got[2] - a[2]) < 1e-12
-        assert np.max(np.abs(sol.u.values)) < 1e-10
+        assert np.max(np.abs(sol.u.comp)) < 1e-10
 
     def test_quadratic_step_matches_dense_oracle(self):
         # oracle: dense factorisation of the same assembled system
@@ -292,7 +292,7 @@ class TestRun:
         s = init_state("bump", make_spec(8), delta=0.005, k=1)
         _, states = run_states(s, SchemeConfig(epsilon=0.005, n_steps=10))
         for st in states:
-            c = curl(gradient(st.p)).values[2:-2, 2:-2, 2:-2]
+            c = curl(gradient(st.p)).comp[:, 2:-2, 2:-2, 2:-2]
             assert np.max(np.abs(c)) < 1e-12
 
     def test_epsilon_refinement_halves_tilt_deviation(self):
