@@ -36,6 +36,7 @@ from .divcurl import (
 )
 from .grid import (
     GridSpec,
+    NonFiniteError,
     ScalarField,
     TensorField,
     VectorField,

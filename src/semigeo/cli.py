@@ -30,7 +30,6 @@ from .coriolis import (
 )
 from .grid import GridSpec, ScalarField
 from .stepper import (
-    ConvexityError,
     SchemeConfig,
     compute_constants,
     init_state,
@@ -462,9 +461,9 @@ def _pinned_heap():
 def run_experiment(cfg: RunConfig) -> int:
     """Execute one configured run and write its artifacts.
 
-    Returns the process exit status: nonzero only for solver failure or a
-    convexity halt before the horizon when strict mode is on.  Raises
-    UsageError, before any artifact is written, for a preset or Coriolis field the grid rejects.
+    Returns the process exit status: nonzero only for a halt before the
+    horizon when strict mode is on.  Raises UsageError, before any artifact
+    is written, for a preset or Coriolis field the grid rejects.
     """
     with _pinned_heap():
         spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
@@ -473,7 +472,8 @@ def run_experiment(cfg: RunConfig) -> int:
             # each preset reads its own parameters; None selects its default
             state = init_state(cfg.preset, spec, tilt=cfg.tilt, quad=cfg.quad,
                                delta=cfg.bump_delta, k=cfg.bump_k)
-        except ConvexityError as err:
+            constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
+        except ValueError as err:
             violations.append(f"preset: {err}")
         try:
             field = _build_coriolis(cfg, spec)
@@ -481,7 +481,6 @@ def run_experiment(cfg: RunConfig) -> int:
             violations.append(f"coriolis: {err}")
         if violations:
             raise UsageError(violations)
-        constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
 
         scheme = SchemeConfig(
             epsilon=cfg.dt, n_steps=cfg.steps, horizon=cfg.tmax,

@@ -56,7 +56,6 @@ class CoriolisField:
 
     f: ScalarField
     grad_f: VectorField
-    f_min: float
 
     @property
     def spec(self) -> GridSpec:
@@ -64,10 +63,10 @@ class CoriolisField:
 
 
 def make_coriolis_field(f: ScalarField) -> CoriolisField:
-    f_min = float(np.min(f.values))
-    if f_min <= 0.0:
-        raise ValueError(f"Coriolis parameter must be positive everywhere, min {f_min:.3e}")
-    return CoriolisField(f=f, grad_f=gradient(f), f_min=f_min)
+    lowest = float(np.min(f.values))
+    if lowest <= 0.0:
+        raise ValueError(f"Coriolis parameter must be positive everywhere, min {lowest:.3e}")
+    return CoriolisField(f=f, grad_f=gradient(f))
 
 
 def constant_coriolis(spec: GridSpec, f0: float) -> CoriolisField:
@@ -107,7 +106,7 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
             f"modulus {float(local_lambda[idx]):.3e} at cell {tuple(int(i) for i in idx)}",
             cell=tuple(int(i) for i in idx),
         )
-    return TensorField(s.spec, s.hess.comp - term, symmetric=bool(np.all(term == 0.0)))
+    return TensorField(s.spec, s.hess.comp - term)
 
 
 def coriolis_transport_data(s: GeopotentialState, c: CoriolisField) -> DivCurlData:

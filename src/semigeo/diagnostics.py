@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import cell_magnitude, lp_norm, sobolev_norm, sum_of_squares
+from .grid import NonFiniteError, cell_magnitude, lp_norm, sobolev_norm, sum_of_squares
 
 __all__ = [
     "DiagnosticsRecord",
@@ -57,7 +57,7 @@ class DiagnosticsRecord:
                    self.curl_residual, self.u_max, self.solver_residual,
                    *self.bbox_min, *self.bbox_max]
         if not all(np.isfinite(v) for v in numbers):
-            raise ValueError("diagnostics record contains non-finite entries")
+            raise NonFiniteError("diagnostics record contains non-finite entries")
 
 
 @dataclass(frozen=True)

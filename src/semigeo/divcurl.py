@@ -89,21 +89,17 @@ def _transverse_diff(a: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 class EllipticityError(ValueError):
-    """Coefficient tensor lost uniform positive-definiteness."""
+    """Coefficient tensor lost uniform positive-definiteness; cell and value
+    name where, and the eigenvalue or determinant found there."""
 
-    def __init__(self, message, cell=None, eigenvalue=None):
+    def __init__(self, message, cell=None, value=None):
         super().__init__(message)
         self.cell = cell
-        self.eigenvalue = eigenvalue
+        self.value = value
 
 
-class SingularTensorError(ValueError):
+class SingularTensorError(EllipticityError):
     """Per-cell tensor inversion hit a (near-)singular matrix."""
-
-    def __init__(self, message, cell=None, det=None):
-        super().__init__(message)
-        self.cell = cell
-        self.det = det
 
 
 class SolverConvergenceError(RuntimeError):
@@ -153,10 +149,6 @@ class DarcyProblem:
     def spec(self) -> GridSpec:
         return self.m.spec
 
-    @property
-    def symmetric(self) -> bool:
-        return self.m.symmetric
-
 
 @dataclass(frozen=True)
 class DarcySolution:
@@ -170,10 +162,6 @@ class DarcySolution:
 class EstimateRatios:
     u_ratio: float | None
     au_ratio: float | None
-
-    @property
-    def applicable(self) -> bool:
-        return self.u_ratio is not None
 
 
 def _matvec(t: TensorField, v: np.ndarray) -> np.ndarray:
@@ -213,7 +201,7 @@ def invert_3x3(t: TensorField) -> TensorField:
             f"tensor not invertible at cell {tuple(int(i) for i in idx)}: "
             f"det {float(det[idx]):.3e}",
             cell=tuple(int(i) for i in idx),
-            det=float(det[idx]),
+            value=float(det[idx]),
         )
 
     inv = np.empty_like(c)
@@ -232,7 +220,7 @@ def invert_3x3(t: TensorField) -> TensorField:
         inv[2, 0] = c02
         inv[2, 1] = a01 * a20 - a00 * a21
     inv /= det
-    return TensorField(t.spec, inv, symmetric=t.symmetric)
+    return TensorField(t.spec, inv)
 
 
 def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
@@ -407,13 +395,15 @@ def _krylov(p: DarcyProblem, b: np.ndarray, precond, method, name: str,
             tol: float, maxiter: int):
     """Run a Krylov method from x = 0 and accept only a true residual
     |b - A x| <= tol |b|; when the recurrence residual passed but the true one
-    does not, restart the method from the true residual.  history holds the
+    does not, restart the method from the true residual, for as long as each
+    restart's true residual is below the one before.  history holds the
     initial 1.0 and one relative residual per iteration."""
     bnorm = float(np.linalg.norm(b))
     x = np.zeros_like(b)
     r = b.copy()
     _project(r)
     history = [1.0]
+    previous = np.inf  # the true residual at the last restart
     while len(history) <= maxiter:
         if not method(p, precond, x, r, tol * bnorm, maxiter + 1 - len(history), history, bnorm):
             break
@@ -422,7 +412,13 @@ def _krylov(p: DarcyProblem, b: np.ndarray, precond, method, name: str,
         rnorm = float(np.linalg.norm(r))
         history[-1] = rnorm / bnorm
         if rnorm <= tol * bnorm:
-            return x, len(history) - 1, history[-1], history
+            return x, len(history) - 1, history[-1]
+        if rnorm >= previous:
+            raise SolverConvergenceError(
+                f"{name} stalled after {len(history) - 1} iterations (relative residual "
+                f"{history[-1]:.3e}, {previous / bnorm:.3e} at the restart before)", history
+            )
+        previous = rnorm
     raise SolverConvergenceError(
         f"{name} did not converge in {maxiter} iterations "
         f"(relative residual {history[-1]:.3e})",
@@ -444,8 +440,8 @@ def solve_darcy(p: DarcyProblem, tol: float = 1e-10, maxiter: int | None = None)
         q = np.zeros(p.spec.dims)
         iters, res = 0, 0.0
     else:
-        method, name = (_pcg, "conjugate gradients") if p.symmetric else (_bicgstab, "BiCGStab")
-        q, iters, res, _ = _krylov(p, b, _cosine_preconditioner(p), method, name, tol, maxiter)
+        method, name = (_pcg, "conjugate gradients") if p.m.symmetric else (_bicgstab, "BiCGStab")
+        q, iters, res = _krylov(p, b, _cosine_preconditioner(p), method, name, tol, maxiter)
         _project(q)
     u = p.mf.comp + _matvec(p.m, gradient_values(q, p.spec))
     return DarcySolution(
@@ -463,14 +459,14 @@ def solve_divcurl(d: DivCurlData, tol: float = 1e-10, maxiter: int | None = None
     part of the coefficient is not positive definite.
     """
     c = d.a.comp
-    sym = TensorField(d.a.spec, 0.5 * (c + c.swapaxes(0, 1)), symmetric=True)
+    sym = TensorField(d.a.spec, 0.5 * (c + c.swapaxes(0, 1)))
     lam_min, cell = min_hessian_eigenvalue(sym)
     if lam_min <= 0.0:
         raise EllipticityError(
             f"symmetric part of coefficient not positive definite: "
             f"eigenvalue {lam_min:.3e} at cell {cell}",
             cell=cell,
-            eigenvalue=lam_min,
+            value=lam_min,
         )
     return solve_darcy(reduce_to_darcy(d), tol=tol, maxiter=maxiter)
 

@@ -9,12 +9,13 @@ operators are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "GridSpec",
+    "NonFiniteError",
     "ScalarField",
     "VectorField",
     "TensorField",
@@ -95,18 +96,18 @@ class GridSpec:
         return best
 
 
+class NonFiniteError(ValueError):
+    """A field or a record would hold an infinity or a NaN."""
+
+
 def _freeze(arr: np.ndarray, shape) -> np.ndarray:
     """Check a field's own array and make it read-only, without copying."""
     if arr.shape != shape:
         raise ValueError(f"field values have shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("field values must be finite")
+        raise NonFiniteError("field values must be finite")
     arr.setflags(write=False)
     return arr
-
-
-def _frozen_array(values, shape) -> np.ndarray:
-    return _freeze(np.array(values, dtype=float), shape)
 
 
 def _own(comp, shape) -> np.ndarray:
@@ -116,11 +117,14 @@ def _own(comp, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
+    """One value per cell: values is one C-contiguous (nx, ny, nz) array.
+    The field takes it over without a copy and makes it read-only."""
+
     spec: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, self.spec.dims))
+        object.__setattr__(self, "values", _own(self.values, self.spec.dims))
 
 
 @dataclass(frozen=True)
@@ -141,19 +145,17 @@ class TensorField:
     """A 3x3 tensor per cell, stored component-major: comp is one C-contiguous
     (3, 3, nx, ny, nz) array, comp[a, b] component (a, b) of every cell.  The
     field takes comp over without a copy and makes it read-only; symmetric
-    marks a tensor that is exactly symmetric, which is checked."""
+    is read from the data: True when every comp[a, b] equals comp[b, a]."""
 
     spec: GridSpec
     comp: np.ndarray
-    symmetric: bool = False
+    symmetric: bool = field(init=False)
 
     def __post_init__(self):
         comp = _own(self.comp, (3, 3) + self.spec.dims)
         object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "symmetric", bool(self.symmetric))
-        if self.symmetric and not all(np.array_equal(comp[a, b], comp[b, a])
-                                      for a in range(3) for b in range(a + 1, 3)):
-            raise ValueError("symmetric flag set but tensor values are not exactly symmetric")
+        object.__setattr__(self, "symmetric", all(
+            np.array_equal(comp[a, b], comp[b, a]) for a in range(3) for b in range(a + 1, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +255,7 @@ def hessian(s: ScalarField) -> TensorField:
             mixed = diff(da, b, h[b])
             out[a, b] = mixed
             out[b, a] = mixed
-    return TensorField(s.spec, out, symmetric=True)
+    return TensorField(s.spec, out)
 
 
 def jacobian(v: VectorField) -> TensorField:
@@ -263,7 +265,7 @@ def jacobian(v: VectorField) -> TensorField:
     for a in range(3):
         for b in range(3):
             out[a, b] = diff(v.comp[b], a, h[a])
-    return TensorField(v.spec, out, symmetric=False)
+    return TensorField(v.spec, out)
 
 
 def curl(v: VectorField) -> VectorField:
@@ -379,7 +381,7 @@ def sobolev_norm(grad_lp: float, hess_lp: float, hess: TensorField, p) -> float:
     """Discrete W^{3,p} norm of the gradient of a potential:
     grad_lp + hess_lp + the L^p norm of the third derivatives built from hess,
     with the per-cell magnitude taken over all tensor components.  hess must
-    be flagged symmetric, as a stencil Hessian is.
+    be exactly symmetric, as a stencil Hessian is.
 
     grad_lp and hess_lp are the lp_norm of the potential's stencil gradient
     and Hessian (a state's grad_p and hess); callers pass them in because

@@ -27,6 +27,7 @@ from .divcurl import (
 )
 from .grid import (
     GridSpec,
+    NonFiniteError,
     ScalarField,
     TensorField,
     VectorField,
@@ -58,13 +59,8 @@ __all__ = [
 ]
 
 
-class ConvexityError(ValueError):
+class ConvexityError(EllipticityError):
     """Geopotential lost (or never had) uniform convexity."""
-
-    def __init__(self, message, cell=None, eigenvalue=None):
-        super().__init__(message)
-        self.cell = cell
-        self.eigenvalue = eigenvalue
 
 
 def apply_rotation(v: np.ndarray) -> np.ndarray:
@@ -114,7 +110,7 @@ def _build_state(values: np.ndarray, spec: GridSpec, time: float,
                 f"initial potential is not uniformly convex: smallest Hessian "
                 f"eigenvalue {lam:.6e} at cell {cell}",
                 cell=cell,
-                eigenvalue=lam,
+                value=lam,
             )
         lambda0 = lam
     return GeopotentialState(
@@ -154,7 +150,7 @@ def preset_potential(name: str, spec: GridSpec, *, tilt=None, quad=None,
     raise ValueError(f"unknown preset {name!r}")
 
 
-def init_state(source: str | ScalarField, spec: GridSpec | None = None, *, time: float = 0.0,
+def init_state(source: str | ScalarField, spec: GridSpec | None = None,
                **preset_params) -> GeopotentialState:
     """Build the initial state from a preset name or a ScalarField.
 
@@ -168,7 +164,7 @@ def init_state(source: str | ScalarField, spec: GridSpec | None = None, *, time:
     else:
         spec = source.spec
         values = source.values
-    return _build_state(values, spec, time)
+    return _build_state(values, spec, 0.0)
 
 
 @dataclass(frozen=True)
@@ -247,15 +243,16 @@ def step(s: GeopotentialState, epsilon: float, model=transport_data, tol: float 
     returns a coefficient whose symmetric part is positive definite, or raises
     EllipticityError; the solve does not check again.  The new transported field
     is grad(P - eps q), a discrete gradient by construction.  Raises
-    ConvexityError, EllipticityError or SolverConvergenceError with the state
-    unchanged when the step cannot be taken.
+    EllipticityError (a ConvexityError, a SingularTensorError or the model's)
+    or SolverConvergenceError with the state unchanged when the step cannot
+    be taken.
     """
     if s.lambda_min <= 0.0:
         raise ConvexityError(
             f"cannot step: Hessian eigenvalue {s.lambda_min:.6e} at cell "
             f"{s.lambda_argmin} is not positive",
             cell=s.lambda_argmin,
-            eigenvalue=s.lambda_min,
+            value=s.lambda_min,
         )
     data = model(s)
     sol = solve_darcy(reduce_to_darcy(data), tol=tol, maxiter=maxiter)
@@ -334,8 +331,8 @@ def run(s0: GeopotentialState, config: SchemeConfig,
 
     constants, when given, must be those of s0 (compute_constants(s0, ...)):
     the step-0 record takes its W^{3,p} norm from them.  Early halts
-    (convexity floor, solver failure, lost ellipticity) are structured
-    outcomes recorded in halt_reason, not exceptions.  The model
+    (convexity floor, an EllipticityError, solver failure, non-finite values)
+    are structured outcomes recorded in halt_reason, not exceptions.  The model
     (see step) is assembled once per step; on recorded steps its data is
     reused for the estimate ratios.  Only the current state is kept:
     observe(j, state, sol) is called once for every state reached, with the
@@ -347,30 +344,33 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         constants = compute_constants(s0)
     epsilon, n_steps = _resolve_schedule(config, constants)
 
-    records = [emit_record(s0, None, constants, step=0, norm_w3p=constants.norm_w3p0)]
+    records = []
     halt_reason = "completed"
     state, j = s0, 0
-    while j < n_steps:
-        try:
+    at = 0  # the step whose state is being built or recorded
+    try:
+        records.append(emit_record(s0, None, constants, step=0, norm_w3p=constants.norm_w3p0))
+        while j < n_steps:
+            at = j + 1
             new_state, sol, data = step(state, epsilon, model, config.tol, config.maxiter)
-        except (ConvexityError, EllipticityError) as err:
-            halt_reason = f"convexity lost at step {j + 1}: {err}"
-            break
-        except SolverConvergenceError as err:
-            halt_reason = f"solver failed at step {j + 1}: {err}"
-            break
-        if observe is not None:
-            observe(j, state, sol)
-        state, j = new_state, j + 1
-        if j % config.record_every == 0 or j == n_steps:
-            ratios = verify_estimate(sol.u, data, constants.p)
-            records.append(emit_record(state, sol, constants, step=j, ratios=ratios))
-        if config.convexity_floor and state.lambda_min < FLOOR_FRACTION * state.lambda0:
-            halt_reason = (
-                f"convexity floor reached at step {j}: lambda_min "
-                f"{state.lambda_min:.6e} < {FLOOR_FRACTION} * lambda0"
-            )
-            break
+            if observe is not None:
+                observe(j, state, sol)
+            state, j = new_state, at
+            if j % config.record_every == 0 or j == n_steps:
+                ratios = verify_estimate(sol.u, data, constants.p)
+                records.append(emit_record(state, sol, constants, step=j, ratios=ratios))
+            if config.convexity_floor and state.lambda_min < FLOOR_FRACTION * state.lambda0:
+                halt_reason = (
+                    f"convexity floor reached at step {j}: lambda_min "
+                    f"{state.lambda_min:.6e} < {FLOOR_FRACTION} * lambda0"
+                )
+                break
+    except EllipticityError as err:
+        halt_reason = f"convexity lost at step {at}: {err}"
+    except SolverConvergenceError as err:
+        halt_reason = f"solver failed at step {at}: {err}"
+    except NonFiniteError as err:
+        halt_reason = f"non-finite values at step {at}: {err}"
     if observe is not None:
         observe(j, state, None)
     return RunResult(

@@ -39,7 +39,7 @@ def kf_inverse(c):
     comp[0, 0] = c.f.values
     comp[1, 1] = c.f.values
     comp[2, 2] = 1.0
-    return TensorField(c.spec, comp, symmetric=True)
+    return TensorField(c.spec, comp)
 
 
 def divergence(v):

@@ -125,7 +125,7 @@ def _manufactured(n):
     a[0, 2] = a[2, 0] = 0.2 * np.cos(pi * Y)
     a[1, 2] = a[2, 1] = 0.15 * np.cos(pi * Z)
     f = np.einsum("ab...,b...->a...", a, u_star) - grad_q
-    d = DivCurlData(a=TensorField(spec, a, symmetric=True), f=VectorField(spec, f))
+    d = DivCurlData(a=TensorField(spec, a), f=VectorField(spec, f))
     return spec, d, u_star
 
 

@@ -3,8 +3,10 @@ wraps functions listed in TRACED, its set-up timing reads RunConfig fields,
 and its checks read the CLI's series.csv and VTK snapshots.  These tests fail
 when a library change breaks any of these hooks."""
 
+import csv
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
@@ -50,3 +52,26 @@ def test_checks_read_the_artifacts(tmp_path):
     outcome = checks.check_run(out, steps=2, n=6, snap_every=1, constant=False,
                                reference=None)
     assert outcome.correct and outcome.failed == 0, outcome.problems
+
+
+def test_tracer_sees_every_step(tmp_path):
+    # a traced run is refused when its root spans miss part of main(argv), or
+    # when the Krylov iterations its spans show per step differ from series.csv
+    tracer = load("tracer")
+    out = tmp_path / "run"
+    spans = tracer.Tracer()
+    with spans.installed():
+        assert main(["--grid", "6", "--preset", "bump", "--dt", "0.001", "--steps", "2",
+                     "--out", str(out)]) == 0
+    roots = {name for name, parent in zip(spans.names, spans.parents) if parent < 0}
+    assert roots == {"cli.run_experiment"}
+    # read as perfbench/run.py per_layer_metrics reads them: a step span opens
+    # a step, and each solve_darcy span adds its iterations to it
+    step_iters = []
+    for i, name in enumerate(spans.names):
+        if name in tracer.STEP_SPANS:
+            step_iters.append(0)
+        elif name == "divcurl.solve_darcy":
+            step_iters[-1] += spans.notes[i]
+    rows = csv.DictReader(io.StringIO((out / "series.csv").read_text()))
+    assert step_iters == [int(r["solver_iters"]) for r in rows if int(r["step"]) > 0]

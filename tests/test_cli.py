@@ -318,6 +318,42 @@ class TestRunExperiment:
         assert (tmp_path / "h" / "series.csv").exists()
         assert main(argv + ["--strict"]) == 1
 
+    def test_singular_coefficient_is_a_halt(self, tmp_path):
+        # det D2P = 1e-13 falls under the inversion's relative threshold
+        out = tmp_path / "h"
+        argv = ["--grid", "8", "--preset", "quadratic", "--quad", "1e-13,1,1",
+                "--dt", "0.01", "--steps", "2", "--out", str(out)]
+        assert main(argv) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["halt_reason"].startswith(
+            "convexity lost at step 1: tensor not invertible at cell (0, 0, 0): det ")
+        assert meta["steps_completed"] == 0
+        assert len((out / "series.csv").read_text().splitlines()) == 2  # header, step 0
+        assert main(argv + ["--strict"]) == 1
+
+    @pytest.mark.parametrize("inputs, halt_step", [
+        ("--preset bump --dt 1e100", 1),  # the step-1 record's magnitudes overflow
+        ("--dt 0.01 --p 2000", 0),  # the step-0 record overflows in mag**p
+        ("--dt 0.01 --extent 1e-200,1,1", None),  # the preset's Hessian overflows
+        ("--dt 0.01 --preset quadratic --quad 1e155,1e155,1e155", None),  # and its magnitude
+    ], ids=["dt-1e100", "p-2000", "extent-1e-200", "quad-1e155"])
+    def test_non_finite_values_halt_or_usage_error(self, tmp_path, capsys, inputs,
+                                                   halt_step):
+        out = tmp_path / "out"
+        argv = inputs.split() + ["--grid", "6", "--steps", "2", "--out", str(out)]
+        if halt_step is None:
+            assert main(argv) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert err == ["error: preset: field values must be finite"]
+            assert not out.exists()
+            return
+        assert main(argv) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["halt_reason"].startswith(f"non-finite values at step {halt_step}: ")
+        rows = (out / "series.csv").read_text().splitlines()
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(halt_step))
+        assert main(argv + ["--strict"]) == 1
+
     def test_strict_flags_early_halt(self, tmp_path):
         # this quadratic run hits the convexity floor before tmax
         argv = ["--grid", "8", "--preset", "quadratic", "--quad", "2,1,0.5",

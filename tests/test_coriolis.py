@@ -142,7 +142,7 @@ class TestStepCoriolis:
         c = linear_coriolis(spec, 0.05)
         new, sol, _ = step_coriolis(s, c, 0.01, tol=1e-13)
         p = reduce_to_darcy(coriolis_transport_data(s, c))
-        assert not p.symmetric
+        assert not p.m.symmetric
         n = spec.n_cells
         mat = np.empty((n, n))
         basis = np.zeros(spec.dims)

@@ -42,8 +42,7 @@ def make_spec(n):
 
 
 def const_tensor(spec, mat):
-    return TensorField(spec, per_cell(mat, spec),
-                       symmetric=np.array_equal(mat, np.transpose(mat)))
+    return TensorField(spec, per_cell(mat, spec))
 
 
 def const_vector(spec, vec):
@@ -56,7 +55,7 @@ def random_spd_tensor(spec, rng, base=2.0, amp=0.3):
     sym[0, 0] += base
     sym[1, 1] += base
     sym[2, 2] += base
-    return TensorField(spec, sym, symmetric=True)
+    return TensorField(spec, sym)
 
 
 def manufactured_problem(n, off_diagonal=True):
@@ -85,7 +84,7 @@ def manufactured_problem(n, off_diagonal=True):
         a[0, 2] = a[2, 0] = 0.2 * np.cos(pi * Y)
         a[1, 2] = a[2, 1] = 0.15 * np.cos(pi * Z)
     f = np.einsum("ab...,b...->a...", a, u_star) - grad_q
-    d = DivCurlData(a=TensorField(spec, a, symmetric=True), f=VectorField(spec, f))
+    d = DivCurlData(a=TensorField(spec, a), f=VectorField(spec, f))
     return spec, d, u_star, q_star
 
 
@@ -122,14 +121,14 @@ class TestInvert3x3:
         rng = np.random.default_rng(3)
         spec = make_spec(4)
         inv = invert_3x3(random_spd_tensor(spec, rng))
-        assert inv.symmetric  # would raise in the constructor if not exact
+        assert inv.symmetric  # read from the data: exactly mirrored
 
     def test_singular_reports_cell(self):
         spec = make_spec(4)
         vals = per_cell(np.eye(3), spec)
         vals[:, :, 1, 2, 3] = 0.0
         with pytest.raises(SingularTensorError) as err:
-            invert_3x3(TensorField(spec, vals, symmetric=True))
+            invert_3x3(TensorField(spec, vals))
         assert err.value.cell == (1, 2, 3)
 
 
@@ -140,12 +139,12 @@ class TestSolveDivcurl:
         spec = make_spec(4)
         vals = per_cell(np.eye(3), spec)
         vals[:, :, 0, 0, 0] = np.diag([1.0, 1.0, -0.5])
-        d = DivCurlData(a=TensorField(spec, vals, symmetric=True),
+        d = DivCurlData(a=TensorField(spec, vals),
                         f=const_vector(spec, [0, 0, 0]))
         with pytest.raises(EllipticityError) as err:
             solve_divcurl(d)
         assert err.value.cell == (0, 0, 0)
-        assert err.value.eigenvalue == pytest.approx(-0.5)
+        assert err.value.value == pytest.approx(-0.5)
 
     def test_rejects_indefinite_symmetric_part(self):
         # upper triangular, every eigenvalue 1, yet its symmetric part
@@ -153,12 +152,12 @@ class TestSolveDivcurl:
         spec = make_spec(5)
         vals = per_cell(np.eye(3), spec)
         vals[0, 1, 1, 2, 3] = 4.0
-        d = DivCurlData(a=TensorField(spec, vals, symmetric=False),
+        d = DivCurlData(a=TensorField(spec, vals),
                         f=const_vector(spec, [0, 0, 0]))
         with pytest.raises(EllipticityError) as err:
             solve_divcurl(d)
         assert err.value.cell == (1, 2, 3)
-        assert err.value.eigenvalue == pytest.approx(-1.0)
+        assert err.value.value == pytest.approx(-1.0)
 
 
 class TestReduceToDarcy:
@@ -305,6 +304,14 @@ class TestSolveDarcy:
         assert history[0] == 1.0
         assert min(history[1:]) > 1e-10
 
+    def test_stalled_restarts_end_the_solve(self):
+        # nearly singular D2P: CG's recurrence residual passes tol, but the
+        # true residual stays near 7e-7 restart after restart
+        s = init_state("quadratic", make_spec(8), quad=(1e-9, 1.0, 1.0))
+        with pytest.raises(SolverConvergenceError, match="conjugate gradients stalled") as err:
+            solve_darcy(reduce_to_darcy(transport_data(s)))
+        assert len(err.value.history) < 20  # the budget is 5120 iterations
+
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_anisotropic_grid_matches_dense(self, symmetric):
         # unequal cells and spacings per axis: the preconditioner's cosine
@@ -316,10 +323,10 @@ class TestSolveDarcy:
             base = a.comp.copy()
             base[0, 1] += 0.15
             base[1, 0] -= 0.15
-            a = TensorField(spec, base, symmetric=False)
+            a = TensorField(spec, base)
         d = DivCurlData(a=a, f=VectorField(spec, rng.standard_normal((3,) + spec.dims)))
         p = reduce_to_darcy(d)
-        assert p.symmetric == symmetric
+        assert p.m.symmetric == symmetric
         sol = solve_darcy(p, tol=1e-12)
         q_ref = dense_solve(p)
         rel = np.linalg.norm(sol.q.values - q_ref) / np.linalg.norm(q_ref)
@@ -390,7 +397,6 @@ class TestVerifyEstimate:
         spec = make_spec(4)
         d = DivCurlData(a=const_tensor(spec, np.eye(3)), f=const_vector(spec, [0, 0, 0]))
         r = verify_estimate(const_vector(spec, [0, 0, 0]), d, 4)
-        assert not r.applicable
         assert r.u_ratio is None and r.au_ratio is None
 
     def test_ratios_stable_under_refinement(self):
@@ -423,10 +429,10 @@ class TestNonSymmetricSolve:
         base = random_spd_tensor(spec, rng).comp.copy()
         base[0, 1] += 0.15
         base[1, 0] -= 0.15
-        a = TensorField(spec, base, symmetric=False)
+        a = TensorField(spec, base)
         d = DivCurlData(a=a, f=VectorField(spec, rng.standard_normal((3,) + spec.dims)))
         p = reduce_to_darcy(d)
-        assert not p.symmetric
+        assert not p.m.symmetric
         sol = solve_darcy(p, tol=1e-12)
         q_ref = dense_solve(p)
         rel = np.linalg.norm(sol.q.values - q_ref) / np.linalg.norm(q_ref)

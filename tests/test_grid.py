@@ -85,11 +85,20 @@ class TestFieldValidation:
             ScalarField(spec, vals)
 
     def test_symmetric_flag_checked(self):
+        # symmetric is read from the data: one changed off-diagonal entry in
+        # one cell makes a mirrored tensor non-symmetric
         spec = make_spec(4)
         comp = np.zeros((3, 3) + spec.dims)
-        comp[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            TensorField(spec, comp, symmetric=True)
+        comp[0, 1] = comp[1, 0] = 1.0
+        assert TensorField(spec, comp.copy()).symmetric
+        comp[0, 1, 2, 3, 1] = 2.0
+        assert TensorField(spec, comp).symmetric is False
+
+    def test_scalar_field_takes_over(self):
+        # the ownership rule of VectorField and TensorField: no copy, frozen
+        spec = make_spec(4)
+        vals = np.zeros(spec.dims)
+        assert ScalarField(spec, vals).values is vals and not vals.flags.writeable
 
     def test_fields_immutable(self):
         spec = make_spec(4)
@@ -345,16 +354,20 @@ class TestSobolevNorm:
         for a in range(3):
             for b in range(a):
                 comp[a, b] = comp[b, a]
-        for hess in (TensorField(spec, comp, symmetric=True),
+        for hess in (TensorField(spec, comp),
                      hessian(random_scalar(spec, rng))):
             assert np.array_equal(_third_derivative_magnitude(hess),
                                   all_27_third_derivative_magnitude(hess))
 
     def test_rejects_unflagged_hessian(self):
-        # the mirrors are reused, so a tensor not known to be symmetric is refused
+        # the mirrors are reused, so a tensor whose data is not symmetric is
+        # refused: here a Hessian with one mixed entry changed in one cell
         spec = make_spec(6)
         hess = hessian(random_scalar(spec, np.random.default_rng(22)))
-        loose = TensorField(spec, hess.comp, symmetric=False)
+        comp = hess.comp.copy()
+        comp[1, 2, 3, 0, 4] += 1.0
+        loose = TensorField(spec, comp)
+        assert not loose.symmetric
         with pytest.raises(ValueError, match="symmetric"):
             sobolev_norm(1.0, 1.0, loose, 4.0)
 
@@ -363,13 +376,13 @@ class TestEigenvalues:
     def test_identity_tensor(self):
         spec = make_spec(4)
         comp = per_cell(np.eye(3), spec)
-        lam, _ = min_hessian_eigenvalue(TensorField(spec, comp, symmetric=True))
+        lam, _ = min_hessian_eigenvalue(TensorField(spec, comp))
         assert lam == 1.0
 
     def test_diagonal_tensor(self):
         spec = make_spec(4)
         comp = per_cell(np.diag([2.0, 3.0, 0.5]), spec)
-        lam, _ = min_hessian_eigenvalue(TensorField(spec, comp, symmetric=True))
+        lam, _ = min_hessian_eigenvalue(TensorField(spec, comp))
         assert lam == 0.5
 
     def test_against_dense_eigensolver(self):
@@ -386,15 +399,18 @@ class TestEigenvalues:
         spec = make_spec(4)
         comp = per_cell(np.eye(3), spec)
         comp[:, :, 2, 1, 3] = np.diag([0.25, 1.0, 1.0])
-        lam, cell = min_hessian_eigenvalue(TensorField(spec, comp, symmetric=True))
+        lam, cell = min_hessian_eigenvalue(TensorField(spec, comp))
         assert lam == 0.25
         assert cell == (2, 1, 3)
 
     def test_rejects_nonsymmetric(self):
         spec = make_spec(4)
         comp = per_cell(np.eye(3), spec)
+        comp[0, 2, 1, 1, 2] = 0.5
+        t = TensorField(spec, comp)
+        assert not t.symmetric
         with pytest.raises(ValueError):
-            min_hessian_eigenvalue(TensorField(spec, comp, symmetric=False))
+            min_hessian_eigenvalue(t)
 
 
 def wide_range(rng, shape):
@@ -427,21 +443,17 @@ class TestComponentMajorLayout:
 
     def test_from_components_checks_symmetry(self):
         spec = make_spec(4)
-        for mirrored in (False, True):
-            comp = np.zeros((3, 3) + spec.dims)
-            comp[1, 2] = 1.0
-            if mirrored:
-                comp[2, 1] = 1.0
-                assert TensorField(spec, comp, symmetric=True).symmetric
-            else:
-                with pytest.raises(ValueError):
-                    TensorField(spec, comp, symmetric=True)
+        comp = np.zeros((3, 3) + spec.dims)
+        comp[1, 2] = comp[2, 1] = 1.0
+        assert TensorField(spec, comp.copy()).symmetric
+        comp[2, 1, 0, 3, 2] = 1.5
+        assert not TensorField(spec, comp).symmetric
 
     def test_eigmin_matches_row_major_reference(self):
         rng = np.random.default_rng(14)
         spec = make_spec((6, 5, 7))
         raw = wide_range(rng, (3, 3) + spec.dims)
-        t = TensorField(spec, 0.5 * (raw + raw.swapaxes(0, 1)), symmetric=True)
+        t = TensorField(spec, 0.5 * (raw + raw.swapaxes(0, 1)))
         want = row_major_eigmin_symmetric(row_major(t))
         assert np.array_equal(eigmin_symmetric(t.comp), want)
 
@@ -450,7 +462,7 @@ class TestComponentMajorLayout:
         rng = np.random.default_rng(15)
         spec = make_spec((17, 5, 6))
         raw = wide_range(rng, (3, 3) + spec.dims)
-        t = TensorField(spec, 0.5 * (raw + raw.swapaxes(0, 1)), symmetric=True)
+        t = TensorField(spec, 0.5 * (raw + raw.swapaxes(0, 1)))
         want = row_major_eigmin_symmetric(row_major(t))
         assert np.array_equal(eigmin_symmetric(t.comp), want)
 

@@ -69,7 +69,7 @@ class TestInitState:
         x = spec.cell_centers()
         with pytest.raises(ConvexityError) as err:
             init_state(ScalarField(spec, -0.5 * np.sum(x**2, axis=0)))
-        assert err.value.eigenvalue == pytest.approx(-1.0, abs=1e-10)
+        assert err.value.value == pytest.approx(-1.0, abs=1e-10)
 
     def test_presets_match_row_major_coordinates(self):
         # |x|^2/2, a.x and x^T Q x/2 as np.sum and np.einsum take them on a
