@@ -18,6 +18,7 @@ from .diagnostics import (
     curl_residual,
     emit_record,
     energy,
+    growth_bound_check,
     pushforward_histogram,
     support_bound_check,
 )
@@ -54,7 +55,6 @@ from .stepper import (
     SchemeConfig,
     SchemeConstants,
     compute_constants,
-    growth_bound_check,
     init_state,
     run,
     step,

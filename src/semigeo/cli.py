@@ -331,14 +331,13 @@ def parse_config(argv, config_file=None) -> RunConfig:
     horizon_modes = sum([cfg.tmax is not None, cfg.auto_tau])
     if horizon_modes > 1:
         violations.append("give only one of tmax / auto-tau")
-    if horizon_modes == 1:
+    elif horizon_modes == 1:
         if cfg.dt is not None and cfg.steps is not None:
             violations.append("over-determined schedule: dt, steps and a horizon all given")
         if cfg.dt is None and cfg.steps is None:
             violations.append("a horizon needs one of dt / steps")
-    else:
-        if cfg.dt is None or cfg.steps is None:
-            violations.append("without tmax or auto-tau, both dt and steps are required")
+    elif cfg.dt is None or cfg.steps is None:
+        violations.append("without tmax or auto-tau, both dt and steps are required")
 
     if violations:
         raise UsageError(violations)
@@ -463,9 +462,11 @@ def run_experiment(cfg: RunConfig) -> int:
 
     Returns the process exit status: nonzero only for a halt before the
     horizon when strict mode is on.  Raises UsageError, before any artifact
-    is written, for a preset or Coriolis field the grid rejects.
+    is written, for a preset or Coriolis field the grid rejects, or an
+    auto-tau horizon that is not positive and finite.  numpy's floating-point
+    warnings are off: a non-finite value ends as a usage error or a halt.
     """
-    with _pinned_heap():
+    with _pinned_heap(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
         violations = []
         try:
@@ -487,6 +488,10 @@ def run_experiment(cfg: RunConfig) -> int:
             auto_horizon=cfg.auto_tau, tol=cfg.tol, maxiter=cfg.maxiter,
             record_every=cfg.log_every,
         )
+        try:
+            scheme.schedule(constants)
+        except ValueError as err:
+            raise UsageError([f"auto-tau: {err}"]) from err
         # passed even when it is run()'s default: a default argument is bound once,
         # when run is defined, so a profiler that rebinds transport_data would miss it
         model = transport_data if field is None else partial(coriolis_transport_data, c=field)

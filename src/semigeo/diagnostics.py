@@ -16,10 +16,11 @@ from .grid import NonFiniteError, cell_magnitude, lp_norm, sobolev_norm, sum_of_
 __all__ = [
     "DiagnosticsRecord",
     "PushforwardHistogram",
-    "SupportCheck",
+    "BoundCheck",
     "energy",
     "pushforward_histogram",
     "support_bound_check",
+    "growth_bound_check",
     "curl_residual",
     "emit_record",
 ]
@@ -109,22 +110,24 @@ def pushforward_histogram(s, bins=16) -> PushforwardHistogram:
 
 
 @dataclass(frozen=True)
-class SupportCheck:
+class BoundCheck:
+    """One recorded step of an a-priori bound: the value a run reached
+    against the bound the estimate allows there."""
+
     step: int
-    time: float
-    value: float  # |grad P(t)|_inf
-    envelope: float
+    value: float
+    bound: float
 
     @property
     def margin(self) -> float:
-        return self.envelope - self.value
+        return self.bound - self.value
 
     @property
     def passed(self) -> bool:
-        return self.value <= self.envelope * (1.0 + 1e-12) + 1e-12
+        return self.value <= self.bound * (1.0 + 1e-12) + 1e-12
 
 
-def support_bound_check(records, spec) -> list[SupportCheck]:
+def support_bound_check(records, spec) -> list[BoundCheck]:
     """Exponential support envelope |grad P(t)|_inf <= (|grad P0|_inf + m) e^t - m
     with m = spec.corner_radius(), the farthest corner radius of the domain;
     the discrete form of the growth argument behind the bounded-support
@@ -136,8 +139,24 @@ def support_bound_check(records, spec) -> list[SupportCheck]:
     t0 = records[0].time
     base = records[0].norm_linf + m
     return [
-        SupportCheck(step=r.step, time=r.time, value=r.norm_linf,
-                     envelope=base * np.exp(r.time - t0) - m)
+        BoundCheck(step=r.step, value=r.norm_linf, bound=base * np.exp(r.time - t0) - m)
+        for r in records
+    ]
+
+
+def growth_bound_check(records, constants, epsilon: float) -> list[BoundCheck]:
+    """Comparison of |grad P_j|_{W^3,p} against the geometric bound
+    (kappa + |grad P_0|) (1 + (1+2c*) eps)^j - kappa at every recorded step j,
+    read from the run's records (the first must be step 0) and the run's
+    SchemeConstants.  Advisory: with c_star configured rather than derived, a
+    violation is a finding, not an error."""
+    if not records:
+        return []
+    base = constants.kappa + records[0].norm_w3p
+    growth = 1.0 + (1.0 + 2.0 * constants.c_star) * epsilon
+    return [
+        BoundCheck(step=r.step, value=r.norm_w3p,
+                   bound=base * growth**r.step - constants.kappa)
         for r in records
     ]
 

@@ -16,6 +16,7 @@ from functools import partial
 
 import numpy as np
 
+from .diagnostics import emit_record
 from .divcurl import (
     DarcySolution,
     DivCurlData,
@@ -46,7 +47,6 @@ __all__ = [
     "GeopotentialState",
     "SchemeConstants",
     "SchemeConfig",
-    "GrowthCheck",
     "RunResult",
     "apply_rotation",
     "preset_potential",
@@ -55,7 +55,6 @@ __all__ = [
     "transport_data",
     "step",
     "run",
-    "growth_bound_check",
 ]
 
 
@@ -301,6 +300,20 @@ class SchemeConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
 
+    def schedule(self, constants: SchemeConstants) -> tuple[float, int]:
+        """The step size and step count; auto_horizon derives the horizon
+        tau_star from constants, which must be positive and finite."""
+        horizon = self.horizon
+        if self.auto_horizon:
+            horizon = constants.tau_star
+            if not 0.0 < horizon < math.inf:
+                raise ValueError(f"tau_star must be positive and finite, got {horizon!r}")
+        if self.epsilon is not None and self.n_steps is not None:
+            return self.epsilon, self.n_steps
+        if self.epsilon is not None:
+            return self.epsilon, max(1, math.ceil(horizon / self.epsilon - 1e-12))
+        return horizon / self.n_steps, self.n_steps
+
 
 @dataclass
 class RunResult:
@@ -311,17 +324,6 @@ class RunResult:
     constants: SchemeConstants
     epsilon: float
     n_steps: int
-
-
-def _resolve_schedule(config: SchemeConfig, constants: SchemeConstants):
-    horizon = config.horizon
-    if config.auto_horizon:
-        horizon = constants.tau_star
-    if config.epsilon is not None and config.n_steps is not None:
-        return config.epsilon, config.n_steps
-    if config.epsilon is not None:
-        return config.epsilon, max(1, math.ceil(horizon / config.epsilon - 1e-12))
-    return horizon / config.n_steps, config.n_steps
 
 
 def run(s0: GeopotentialState, config: SchemeConfig,
@@ -338,11 +340,9 @@ def run(s0: GeopotentialState, config: SchemeConfig,
     observe(j, state, sol) is called once for every state reached, with the
     solve taken from that state, or None when no solve followed it.
     """
-    from .diagnostics import emit_record
-
     if constants is None:
         constants = compute_constants(s0)
-    epsilon, n_steps = _resolve_schedule(config, constants)
+    epsilon, n_steps = config.schedule(constants)
 
     records = []
     halt_reason = "completed"
@@ -378,36 +378,3 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         halt_reason=halt_reason, constants=constants,
         epsilon=epsilon, n_steps=n_steps,
     )
-
-
-@dataclass(frozen=True)
-class GrowthCheck:
-    step: int
-    norm: float
-    bound: float
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.norm
-
-    @property
-    def passed(self) -> bool:
-        return self.norm <= self.bound * (1.0 + 1e-12) + 1e-12
-
-
-def growth_bound_check(records, constants: SchemeConstants,
-                       epsilon: float) -> list[GrowthCheck]:
-    """Comparison of |grad P_j|_{W^3,p} against the geometric bound
-    (kappa + |grad P_0|) (1 + (1+2c*) eps)^j - kappa at every recorded step j,
-    read from the run's records (the first must be step 0).  Advisory: with
-    c_star configured rather than derived, a violation is a finding, not an
-    error."""
-    if not records:
-        return []
-    base = constants.kappa + records[0].norm_w3p
-    growth = 1.0 + (1.0 + 2.0 * constants.c_star) * epsilon
-    return [
-        GrowthCheck(step=r.step, norm=r.norm_w3p,
-                    bound=base * growth**r.step - constants.kappa)
-        for r in records
-    ]

@@ -10,6 +10,8 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
 from semigeo.cli import main, parse_config
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,15 +56,20 @@ def test_checks_read_the_artifacts(tmp_path):
     assert outcome.correct and outcome.failed == 0, outcome.problems
 
 
-def test_tracer_sees_every_step(tmp_path):
+@pytest.mark.parametrize("inputs", [
+    "--grid 6 --preset bump",
+    "--grid 6 --preset bump --coriolis profile:0.05",  # BiCGStab, has_mixed read
+    "--grid 8 --preset identity --emit csv,fields --snap-every 1",  # rhs 0, snapshots
+], ids=["cg-bump", "bicgstab-coriolis", "fields-identity"])
+def test_tracer_sees_every_step(tmp_path, inputs):
     # a traced run is refused when its root spans miss part of main(argv), or
     # when the Krylov iterations its spans show per step differ from series.csv
     tracer = load("tracer")
     out = tmp_path / "run"
     spans = tracer.Tracer()
     with spans.installed():
-        assert main(["--grid", "6", "--preset", "bump", "--dt", "0.001", "--steps", "2",
-                     "--out", str(out)]) == 0
+        assert main(inputs.split() + ["--dt", "0.001", "--steps", "2",
+                                      "--out", str(out)]) == 0
     roots = {name for name, parent in zip(spans.names, spans.parents) if parent < 0}
     assert roots == {"cli.run_experiment"}
     # read as perfbench/run.py per_layer_metrics reads them: a step span opens

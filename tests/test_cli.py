@@ -66,6 +66,12 @@ class TestParseConfig:
             parse_config(["--steps", "100", "--dt", "0.02", "--tmax", "1.0"])
         assert any("over-determined" in v for v in err.value.violations)
 
+    def test_two_horizons_one_violation(self):
+        # the rule for a schedule without a horizon does not apply to two
+        with pytest.raises(UsageError) as err:
+            parse_config(["--grid", "6", "--tmax", "1", "--auto-tau", "--dt", "0.1"])
+        assert err.value.violations == ["give only one of tmax / auto-tau"]
+
     def test_all_violations_reported(self):
         with pytest.raises(UsageError) as err:
             parse_config(["--grid", "2", "--preset", "wiggle", "--p", "2",
@@ -331,6 +337,7 @@ class TestRunExperiment:
         assert len((out / "series.csv").read_text().splitlines()) == 2  # header, step 0
         assert main(argv + ["--strict"]) == 1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("inputs, halt_step", [
         ("--preset bump --dt 1e100", 1),  # the step-1 record's magnitudes overflow
         ("--dt 0.01 --p 2000", 0),  # the step-0 record overflows in mag**p
@@ -353,6 +360,15 @@ class TestRunExperiment:
         rows = (out / "series.csv").read_text().splitlines()
         assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(halt_step))
         assert main(argv + ["--strict"]) == 1
+
+    def test_degenerate_auto_tau_is_usage_error(self, tmp_path, capsys):
+        # |grad P0|_{W^3,2000} overflows to inf, so tau* comes out as 0
+        out = tmp_path / "out"
+        assert main(["--grid", "6", "--steps", "2", "--auto-tau", "true", "--p", "2000",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: auto-tau: tau_star must be positive and finite, got 0.0"]
+        assert not out.exists()
 
     def test_strict_flags_early_halt(self, tmp_path):
         # this quadratic run hits the convexity floor before tmax

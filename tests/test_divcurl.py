@@ -470,6 +470,21 @@ class TestRowMajorReference:
                                         p.has_mixed, spec.spacing, q)
         assert np.array_equal(apply_operator(p, q), want)
 
+    def test_apply_operator_diagonal_coefficient(self):
+        # the reference still skips the cross terms of a diagonal coefficient;
+        # the kernel carries them, and they must change no bit
+        rng = np.random.default_rng(25)
+        spec = GridSpec(dims=(8, 4, 16), extents=(1.0, 2.0, 0.5))
+        comp = np.zeros((3, 3) + spec.dims)
+        for a, v in enumerate((2.0, 0.5, 4.0)):
+            comp[a, a] = v
+        p = reduce_to_darcy(DivCurlData(a=TensorField(spec, comp), f=VectorField(
+            spec, rng.standard_normal((3,) + spec.dims))))
+        assert not p.has_mixed
+        q = rng.standard_normal(spec.dims)
+        want = row_major_apply_operator(row_major(p.m), p.m_face, False, spec.spacing, q)
+        assert np.array_equal(apply_operator(p, q), want)
+
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_matvec(self, symmetric):
         rng = np.random.default_rng(24)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -11,7 +12,7 @@ import semigeo.divcurl
 import semigeo.grid
 import semigeo.stepper
 from semigeo.coriolis import coriolis_transport_data, linear_coriolis
-from semigeo.diagnostics import emit_record
+from semigeo.diagnostics import emit_record, growth_bound_check
 from semigeo.divcurl import apply_operator, reduce_to_darcy
 from semigeo.grid import (
     GridSpec,
@@ -27,7 +28,6 @@ from semigeo.stepper import (
     SchemeConfig,
     apply_rotation,
     compute_constants,
-    growth_bound_check,
     init_state,
     preset_potential,
     run,
@@ -448,3 +448,14 @@ class TestSchemeConfig:
         s = init_state("identity", make_spec(8))
         res = run(s, SchemeConfig(epsilon=0.01, horizon=0.05))
         assert res.n_steps == 5
+
+    @pytest.mark.parametrize("tau_star", [0.0, -1.0, np.inf, np.nan])
+    def test_degenerate_auto_horizon_rejected(self, tau_star):
+        # a derived horizon is held to the rule of a given one, and finite too
+        s = init_state("identity", make_spec(6))
+        c = replace(compute_constants(s), tau_star=tau_star)
+        config = SchemeConfig(n_steps=2, auto_horizon=True)
+        with pytest.raises(ValueError, match="tau_star must be positive and finite"):
+            config.schedule(c)
+        with pytest.raises(ValueError, match="tau_star must be positive and finite"):
+            run(s, config, constants=c)
