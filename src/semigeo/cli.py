@@ -14,6 +14,7 @@ import json
 import math
 import shlex
 import sys
+import warnings
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -281,32 +282,33 @@ def _flags_to_dict(argv, violations) -> dict:
     return kv
 
 
-def _read_config_file(path, violations) -> dict:
-    kv = {}
+def _file_lines(path, kind, violations) -> list:
+    """(line number, text) of each stripped line that is not blank or a # comment."""
     try:
         text = Path(path).read_text()
-    except OSError as err:
-        violations.append(f"cannot read config file {path}: {err}")
-        return kv
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
+    except (OSError, ValueError) as err:  # a UnicodeDecodeError is a ValueError
+        violations.append(f"cannot read {kind} file {path}: {err}")
+        return []
+    return [(lineno, line) for lineno, line in enumerate(map(str.strip, text.splitlines()), 1)
+            if line and not line.startswith("#")]
+
+
+def _read_config_file(path, violations) -> dict:
+    kv = {}
+    for lineno, line in _file_lines(path, "config", violations):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
             violations.append(f"{path}:{lineno}: expected key=value, got {line!r}")
-            continue
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _KEYS:
+        elif key not in _KEYS:
             violations.append(f"{path}:{lineno}: unknown key {key!r}")
-            continue
-        if key in kv:
+        elif key in kv:
             violations.append(f"{path}:{lineno}: key {key!r} given twice")
-            continue
-        kv[key] = value
+        else:
+            kv[key] = value
     return kv
 
 
-def parse_config(argv, config_file=None) -> RunConfig:
+def parse_config(argv) -> RunConfig:
     """Resolve flags (which win) over config-file values into a RunConfig.
 
     Raises UsageError listing every violated constraint.
@@ -315,7 +317,7 @@ def parse_config(argv, config_file=None) -> RunConfig:
     flags = _flags_to_dict(list(argv), violations)
     if "sweep" in flags:
         violations.append("--sweep names a sweep for main(), not a run configuration")
-    file_path = flags.pop("config", None) or config_file
+    file_path = flags.pop("config", None)
     kv = _read_config_file(file_path, violations) if file_path else {}
     kv.update(flags)
 
@@ -404,8 +406,10 @@ def _build_coriolis(cfg, spec):
         return constant_coriolis(spec, arg)
     if mode == "profile":
         return linear_coriolis(spec, arg)
-    values = np.loadtxt(arg).reshape(spec.dims)
-    return make_coriolis_field(ScalarField(spec, values))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty file warns before it fails to reshape
+        values = np.loadtxt(arg)
+    return make_coriolis_field(ScalarField(spec, values.reshape(spec.dims)))
 
 
 # glibc's mallopt parameters, and the largest mmap threshold it accepts:
@@ -497,7 +501,10 @@ def run_experiment(cfg: RunConfig) -> int:
         model = transport_data if field is None else partial(coriolis_transport_data, c=field)
 
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise UsageError([f"out: {err}"]) from err
 
         def write_snapshot(j, st, sol):
             if j > 0 and j % cfg.snap_every == 0:
@@ -554,21 +561,18 @@ def _sweep_path(argv):
 
 
 def _sweep_lines(path) -> list:
-    """The flag lines of a sweep file, split; no line may name --sweep."""
-    try:
-        text = Path(path).read_text()
-    except OSError as err:
-        raise UsageError([f"cannot read sweep file {path}: {err}"]) from err
-    lines, nested = [], []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    """The flag lines of a sweep file, split; each must split, none name --sweep."""
+    violations, lines = [], []
+    for lineno, line in _file_lines(path, "sweep", violations):
+        try:
+            lines.append(shlex.split(line))
+        except ValueError as err:
+            violations.append(f"{path}:{lineno}: {err}")
             continue
-        lines.append(shlex.split(line))
         if "sweep" in _flags_to_dict(lines[-1], []):
-            nested.append(f"{path}:{lineno}: a sweep line cannot name --sweep")
-    if nested:
-        raise UsageError(nested)
+            violations.append(f"{path}:{lineno}: a sweep line cannot name --sweep")
+    if violations:
+        raise UsageError(violations)
     return lines
 
 

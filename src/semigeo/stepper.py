@@ -77,11 +77,7 @@ def apply_rotation(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeopotentialState:
-    """Mean-zero generalised geopotential with cached derivatives.
-
-    Caches are rebuilt on every update; lambda0 is the convexity modulus of
-    the initial state, carried along the trajectory.
-    """
+    """Mean-zero geopotential with its cached derivatives and smallest Hessian eigenvalue."""
 
     p: ScalarField
     time: float
@@ -89,32 +85,21 @@ class GeopotentialState:
     hess: TensorField
     lambda_min: float
     lambda_argmin: tuple[int, int, int]
-    lambda0: float
 
     @property
     def spec(self) -> GridSpec:
         return self.p.spec
 
 
-def _build_state(values: np.ndarray, spec: GridSpec, time: float,
-                 lambda0: float | None = None) -> GeopotentialState:
+def _build_state(values: np.ndarray, spec: GridSpec, time: float) -> GeopotentialState:
     vals = np.asarray(values, dtype=float) - float(np.mean(values))
     p = ScalarField(spec, vals)
     grad_p = gradient(p)
     hess = hessian(p)
     lam, cell = min_hessian_eigenvalue(hess)
-    if lambda0 is None:
-        if lam <= 0.0:
-            raise ConvexityError(
-                f"initial potential is not uniformly convex: smallest Hessian "
-                f"eigenvalue {lam:.6e} at cell {cell}",
-                cell=cell,
-                value=lam,
-            )
-        lambda0 = lam
     return GeopotentialState(
         p=p, time=time, grad_p=grad_p, hess=hess,
-        lambda_min=lam, lambda_argmin=cell, lambda0=float(lambda0),
+        lambda_min=lam, lambda_argmin=cell,
     )
 
 
@@ -163,14 +148,22 @@ def init_state(source: str | ScalarField, spec: GridSpec | None = None,
     else:
         spec = source.spec
         values = source.values
-    return _build_state(values, spec, 0.0)
+    s = _build_state(values, spec, 0.0)
+    if s.lambda_min <= 0.0:
+        raise ConvexityError(
+            f"initial potential is not uniformly convex: smallest Hessian "
+            f"eigenvalue {s.lambda_min:.6e} at cell {s.lambda_argmin}",
+            cell=s.lambda_argmin,
+            value=s.lambda_min,
+        )
+    return s
 
 
 @dataclass(frozen=True)
 class SchemeConstants:
     """Scheme parameters; tau_star is indicative, computable only up to the
-    configured constants c_star and c_m.  norm_w3p0 is |grad P0|_{W^3,p} of the
-    state the constants were computed from, which run() records at step 0."""
+    configured constants c_star and c_m.  lambda0 and norm_w3p0 are lambda_min
+    and |grad P0|_{W^3,p} of the state the constants were computed from."""
 
     lambda0: float
     omega: float
@@ -209,12 +202,12 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
     for a in range(3):
         dn = np.sqrt(sum_of_squares(symmetric_components(s.hess.comp, partial(np.diff, axis=a))))
         quotient = max(quotient, float(np.max(dn)) / spec.spacing[a] ** alpha)
-    m_star = lp_norm(frob, np.inf) + quotient + s.lambda0 / 6.0
+    m_star = lp_norm(frob, np.inf) + quotient + s.lambda_min / 6.0
 
     kappa = (omega + 2.0 * c_star * volume_term) / (1.0 + 2.0 * c_star)
-    tau_star = math.log1p(s.lambda0 / (6.0 * c_m * (kappa + grad_norm))) / (1.0 + 2.0 * c_star)
+    tau_star = math.log1p(s.lambda_min / (6.0 * c_m * (kappa + grad_norm))) / (1.0 + 2.0 * c_star)
     return SchemeConstants(
-        lambda0=s.lambda0, omega=omega, m_star=m_star, c_star=c_star,
+        lambda0=s.lambda_min, omega=omega, m_star=m_star, c_star=c_star,
         c_m=c_m, kappa=kappa, tau_star=tau_star, p=p, norm_w3p0=grad_norm,
     )
 
@@ -256,7 +249,7 @@ def step(s: GeopotentialState, epsilon: float, model=transport_data, tol: float 
     data = model(s)
     sol = solve_darcy(reduce_to_darcy(data), tol=tol, maxiter=maxiter)
     new_vals = s.p.values - epsilon * sol.q.values
-    new_state = _build_state(new_vals, s.spec, s.time + epsilon, lambda0=s.lambda0)
+    new_state = _build_state(new_vals, s.spec, s.time + epsilon)
     return new_state, sol, data
 
 
@@ -359,7 +352,7 @@ def run(s0: GeopotentialState, config: SchemeConfig,
             if j % config.record_every == 0 or j == n_steps:
                 ratios = verify_estimate(sol.u, data, constants.p)
                 records.append(emit_record(state, sol, constants, step=j, ratios=ratios))
-            if config.convexity_floor and state.lambda_min < FLOOR_FRACTION * state.lambda0:
+            if config.convexity_floor and state.lambda_min < FLOOR_FRACTION * constants.lambda0:
                 halt_reason = (
                     f"convexity floor reached at step {j}: lambda_min "
                     f"{state.lambda_min:.6e} < {FLOOR_FRACTION} * lambda0"

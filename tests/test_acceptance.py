@@ -195,7 +195,7 @@ def test_criterion_6_convexity_propagation(run_states):
     s = init_state("bump", GRID16, delta=0.005, k=1)
     constants = compute_constants(s, p=4.0, c_star=1.0, c_m=1.0)
     res, states = run_states(s, SchemeConfig(n_steps=20, auto_horizon=True), constants=constants)
-    margins = [st.lambda_min - 0.5 * st.lambda0 for st in states]
+    margins = [st.lambda_min - 0.5 * constants.lambda0 for st in states]
     ok = res.halt_reason == "completed" and min(margins) >= 0.0
     report(6, "convexity propagation", ok,
            f"tau* = {constants.tau_star:.4f}, min margin = {min(margins):.4f}")

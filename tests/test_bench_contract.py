@@ -44,6 +44,15 @@ def test_setup_reads_config_fields(tmp_path):
         assert [name for name in SETUP_FIELDS if not hasattr(cfg, name)] == []
 
 
+def test_setup_times_init_state_and_constants(tmp_path):
+    # measure_setup calls init_state and compute_constants directly, outside the CLI
+    bench = load("run")
+    argv = ["--grid", "6", "--preset", "bump", "--dt", "0.001", "--steps", "1",
+            "--out", str(tmp_path / "run")]
+    times = bench.measure_setup(argv)
+    assert len(times) == bench.SETUP_REPEATS and min(times) > 0
+
+
 def test_checks_read_the_artifacts(tmp_path):
     checks = load("checks")
     out = tmp_path / "run"

@@ -259,16 +259,20 @@ class TestRunExperiment:
                      "--out", str(tmp_path / "g4")]) == 2
         assert "grid" in capsys.readouterr().err
 
+    # numpy warns on an empty file before the reshape fails: only the error may show
+    @pytest.mark.filterwarnings("error::UserWarning")
     @pytest.mark.parametrize("inputs", [
         ["--sweep", "{tmp}/missing.txt"],
         ["--coriolis", "file:{tmp}/missing.txt"],
         ["--coriolis", "file:{tmp}/short.txt"],  # 7 values for 512 cells
+        ["--coriolis", "file:{tmp}/empty.txt"],
         ["--coriolis", "profile:-5"],  # f = 1 - 5 x3 turns negative
         ["--preset", "bump", "--bump-delta", "0.2"],  # not convex
     ], ids=["sweep-missing", "coriolis-file-missing", "coriolis-file-length",
-            "coriolis-profile-negative", "preset-not-convex"])
+            "coriolis-file-empty", "coriolis-profile-negative", "preset-not-convex"])
     def test_config_time_failure_is_usage_error(self, tmp_path, capsys, inputs):
         np.savetxt(tmp_path / "short.txt", np.full(7, 0.9))
+        (tmp_path / "empty.txt").write_text("")
         out = tmp_path / "out"
         argv = [a.format(tmp=tmp_path) for a in inputs]
         assert main(argv + ["--grid", "8", "--dt", "0.01", "--steps", "2",
@@ -411,6 +415,38 @@ class TestRunExperiment:
     def test_sweep_missing_file(self, tmp_path, capsys):
         assert main(["--sweep", str(tmp_path / "missing.txt")]) == 2
         assert "cannot read sweep file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, argv", [
+        ("config", ["--config", "{bad}", "--dt", "0.01", "--steps", "1", "--out", "{out}"]),
+        ("sweep", ["--sweep", "{bad}"]),
+    ], ids=["config", "sweep"])
+    def test_undecodable_file_is_usage_error(self, tmp_path, capsys, kind, argv):
+        bad, out = tmp_path / "bad.cfg", tmp_path / "out"
+        bad.write_bytes(b"\xff")
+        assert main([a.format(bad=bad, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: cannot read {kind} file {bad}: ")
+        assert not out.exists()
+
+    def test_sweep_line_that_does_not_split(self, tmp_path, capsys):
+        # checked before any line runs, as a nested --sweep is
+        sweep = tmp_path / "sweep.txt"
+        sweep.write_text(
+            f"--grid 6 --preset identity --dt 0.01 --steps 2 --out {tmp_path/'s1'}\n"
+            f'--grid 6 --dt 0.01 --steps 1 --out "o\n'
+        )
+        assert main(["--sweep", str(sweep)]) == 2
+        assert capsys.readouterr().err == f"error: {sweep}:2: No closing quotation\n"
+        assert not (tmp_path / "s1").exists()
+
+    @pytest.mark.parametrize("out", ["F", "F/sub"])
+    def test_out_that_cannot_be_made_is_usage_error(self, tmp_path, capsys, out):
+        (tmp_path / "F").write_text("kept\n")
+        assert main(["--grid", "6", "--dt", "0.01", "--steps", "1",
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out: ")
+        assert (tmp_path / "F").read_text() == "kept\n"
 
     def test_sweep_line_cannot_name_sweep(self, tmp_path, capsys):
         # a self-referencing sweep: nothing runs, the line is named

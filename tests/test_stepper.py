@@ -49,18 +49,18 @@ def make_spec(n):
 class TestInitState:
     def test_identity_modulus(self):
         s = init_state("identity", make_spec(8))
-        assert s.lambda0 == pytest.approx(1.0, abs=1e-11)
+        assert s.lambda_min == pytest.approx(1.0, abs=1e-11)
         assert abs(np.mean(s.p.values)) < 1e-14
 
     def test_quadratic_modulus(self):
         s = init_state("quadratic", make_spec(8), quad=(2.0, 1.0, 0.5))
-        assert s.lambda0 == pytest.approx(0.5, abs=1e-10)
+        assert s.lambda_min == pytest.approx(0.5, abs=1e-10)
 
     def test_bump_modulus_window(self):
         # oracle: independent per-cell eigenvalue scan of the Hessian
         delta, k = 0.01, 1
         s = init_state("bump", make_spec(16), delta=delta, k=k)
-        assert 1.0 - delta * 3.0 * (k * np.pi) ** 2 <= s.lambda0 <= 1.0
+        assert 1.0 - delta * 3.0 * (k * np.pi) ** 2 <= s.lambda_min <= 1.0
         lam_ref = float(np.min(np.linalg.eigvalsh(row_major(s.hess))[..., 0]))
         assert s.lambda_min == pytest.approx(lam_ref, abs=1e-11)
 
@@ -94,7 +94,7 @@ class TestInitState:
 
     def test_tilt_preserves_modulus(self):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        assert s.lambda0 == pytest.approx(1.0, abs=1e-11)
+        assert s.lambda_min == pytest.approx(1.0, abs=1e-11)
         assert np.allclose(mean_tilt(s), [0.1, 0.0, 0.05], atol=1e-12)
 
 
@@ -122,7 +122,7 @@ class TestComputeConstants:
             d = np.ascontiguousarray(np.moveaxis(np.diff(s.hess.comp, axis=2 + a), (0, 1), (-2, -1)))
             dn = np.sqrt(np.sum(d.reshape(d.shape[:3] + (9,)) ** 2, axis=-1))
             quotient = max(quotient, float(np.max(dn)) / spec.spacing[a] ** alpha)
-        assert c.m_star == lp_norm(s.hess, np.inf) + quotient + s.lambda0 / 6.0
+        assert c.m_star == lp_norm(s.hess, np.inf) + quotient + s.lambda_min / 6.0
 
     def test_tau_monotone_in_lambda0(self):
         spec = make_spec(8)
@@ -314,7 +314,7 @@ class TestRun:
         c = compute_constants(s)
         res, states = run_states(s, SchemeConfig(n_steps=10, auto_horizon=True), constants=c)
         assert res.final_state.time == pytest.approx(c.tau_star, rel=1e-9)
-        assert all(st.lambda_min >= 0.5 * st.lambda0 for st in states)
+        assert all(st.lambda_min >= 0.5 * c.lambda0 for st in states)
 
     def test_model_assembled_once_per_step(self):
         s = init_state("bump", make_spec(6), delta=0.005, k=1)
