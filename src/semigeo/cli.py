@@ -318,7 +318,7 @@ def parse_config(argv) -> RunConfig:
     if "sweep" in flags:
         violations.append("--sweep names a sweep for main(), not a run configuration")
     file_path = flags.pop("config", None)
-    kv = _read_config_file(file_path, violations) if file_path else {}
+    kv = _read_config_file(file_path, violations) if file_path is not None else {}
     kv.update(flags)
 
     parsed = {}

@@ -24,10 +24,12 @@ from .grid import (
     ScalarField,
     TensorField,
     VectorField,
+    _jacobian_magnitude,
+    _magnitude_lp,
+    _row_slabs,
     _sl,
     curl,
     gradient_values,
-    jacobian,
     lp_norm,
     min_hessian_eigenvalue,
     sum_of_squares,
@@ -245,20 +247,50 @@ def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
 
 def apply_operator(p: DarcyProblem, q: np.ndarray) -> np.ndarray:
     """One application of the assembled elliptic operator to raw values.  The
-    cross terms of a diagonal coefficient are +0 and change no flux bit."""
+    cross terms of a diagonal coefficient are +0 and change no flux bit.
+
+    Out row i reads q rows i-1..i+1 only: the axis-0 fluxes of its two faces
+    take the transverse differences of those rows, and its axis-1 and axis-2
+    fluxes the axis-0 difference around row i.  So it runs in row ranges, one
+    per worker (see grid._row_slabs), and every cell adds its terms in the
+    same order for any split."""
+    out = np.zeros_like(q)
+    _row_slabs(lambda i0, i1: _operator_rows(p, q, out, i0, i1), q.shape[0])
+    return out
+
+
+def _operator_rows(p: DarcyProblem, q: np.ndarray, out: np.ndarray, i0: int, i1: int) -> None:
+    """Rows i0..i1-1 of apply_operator, added into out's zeros, from q's rows
+    plus one halo row on each side."""
     h = p.spec.spacing
     mc = p.m.comp
-    out = np.zeros_like(q)
-    trans = [_transverse_diff(q, b, h[b]) for b in range(3)]
-    for a in range(3):
-        flux = p.m_face[a] * _face_diff(q, a, h[a])
-        cross = np.zeros_like(q)
+    n0 = q.shape[0]
+    lo, hi = max(i0 - 1, 0), min(i1 + 1, n0)
+    qs = q[lo:hi]
+    trans = [_transverse_diff(qs, b, h[b]) for b in range(3)]  # exact on rows i0..i1-1
+
+    # axis 0: faces lo..hi-2, face f between rows f and f+1; row r adds the
+    # flux of face r-1, then takes that of face r, as _face_diff_t does
+    flux = p.m_face[0][lo:hi - 1] * _face_diff(qs, 0, h[0])
+    cross = np.zeros_like(qs)
+    for b in (1, 2):
+        cross += mc[0, b, lo:hi] * trans[b]
+    flux += _face_avg(cross, 0)
+    flux /= h[0]
+    first, last = max(i0, 1), min(i1, n0 - 1)
+    out[first:i1] += flux[first - 1 - lo:i1 - 1 - lo]
+    out[i0:last] -= flux[i0 - lo:last - lo]
+
+    rows = out[i0:i1]
+    own = slice(i0 - lo, i1 - lo)
+    for a in (1, 2):
+        flux = p.m_face[a][i0:i1] * _face_diff(q[i0:i1], a, h[a])
+        cross = np.zeros_like(rows)
         for b in range(3):
             if b != a:
-                cross += mc[a, b] * trans[b]
+                cross += mc[a, b, i0:i1] * trans[b][own]
         flux += _face_avg(cross, a)
-        _face_diff_t(flux, a, h[a], out)
-    return out
+        _face_diff_t(flux, a, h[a], rows)
 
 
 def _project(x: np.ndarray) -> None:
@@ -466,7 +498,7 @@ def solve_divcurl(d: DivCurlData, tol: float = 1e-10, maxiter: int | None = None
 
 
 def _w1p_norm(v: VectorField, p) -> float:
-    return lp_norm(v, p) + lp_norm(jacobian(v), p)
+    return lp_norm(v, p) + _magnitude_lp(_jacobian_magnitude(v), p, v.spec.cell_volume)
 
 
 def verify_estimate(u: VectorField, d: DivCurlData, p) -> EstimateRatios:

@@ -9,7 +9,11 @@ operators are pure functions.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -156,6 +160,82 @@ class TensorField:
         object.__setattr__(self, "comp", comp)
         object.__setattr__(self, "symmetric", all(
             np.array_equal(comp[a, b], comp[b, a]) for a in range(3) for b in range(a + 1, 3)))
+
+
+# ---------------------------------------------------------------------------
+# row slabs along axis 0, on one or two threads
+# ---------------------------------------------------------------------------
+
+# Threads that run row slabs: the cores this process may run on, at most 2.
+# The second one pays only on grids with _TWO_WORKER_ROWS rows or more along
+# axis 0; on fewer, handing it half the rows costs more than it saves.
+_WORKERS = min(2, len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+_TWO_WORKER_ROWS = 40
+# Rows per slab of the per-cell kernels: the 18 distinct third differences of
+# one slab then hold 2.6 MB at 48^2 cells per row.
+_SLAB_ROWS = 8
+_jobs = None  # the job queue of the persistent second thread, made on first use
+_start = threading.Lock()  # held while the first caller starts that thread
+
+
+def _work(jobs) -> None:
+    """The second thread: run each job, then put None or its exception in
+    the job's own queue.  It drops the job first: a job holds the caller's
+    arrays, and the thread must not keep them alive until the next one."""
+    while True:
+        job, done = jobs.get()
+        error = None
+        try:
+            job()
+        except BaseException as err:  # the caller raises it
+            error = err
+        del job
+        done.put(error)
+        del error
+
+
+def _row_slabs(fn, n0: int, rows: int | None = None) -> None:
+    """Run fn(i0, i1) over consecutive row ranges [i0, i1) that cover the n0
+    rows of axis 0: ranges of `rows` rows, the last one shorter when it must
+    be, or with rows None one range per worker.  Each fn call must write only
+    its own rows of a preallocated output, so a cell's arithmetic is the same
+    for any split and any number of workers.
+
+    With two workers this thread runs the first half of the ranges and one
+    persistent worker thread the second, in a copy of this thread's context
+    (numpy's error state is a context variable).  An exception from either
+    half is raised once both have finished.  fn should call no function in a
+    module's __all__: a profiler that wraps those assumes one thread.
+    """
+    global _jobs
+    workers = _WORKERS if n0 >= _TWO_WORKER_ROWS else 1
+    size = rows or -(-n0 // workers)
+    ranges = [(i0, min(i0 + size, n0)) for i0 in range(0, n0, size)]
+    split = -(-len(ranges) // workers)
+
+    def each(part):
+        for i0, i1 in part:
+            fn(i0, i1)
+
+    done = None
+    if split < len(ranges):
+        # imported here: a run whose grids all have fewer rows never needs it,
+        # and importing it moved such a run's peak RSS (heap placement)
+        import queue
+
+        with _start:
+            if _jobs is None:
+                _jobs = queue.SimpleQueue()
+                threading.Thread(target=_work, args=(_jobs,), name="semigeo-rows",
+                                 daemon=True).start()
+        done = queue.SimpleQueue()
+        _jobs.put((partial(contextvars.copy_context().run, each, ranges[split:]), done))
+    try:
+        each(ranges[:split])
+    finally:
+        error = None if done is None else done.get()  # waits for the second half
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +418,16 @@ def cell_magnitude(field) -> ScalarField:
 
 def lp_norm(field, p) -> float:
     """Cell-volume-weighted discrete L^p norm; p=inf gives the max magnitude."""
-    mag = _cell_magnitude(field)
+    return _magnitude_lp(_cell_magnitude(field), p, field.spec.cell_volume)
+
+
+def _magnitude_lp(mag: np.ndarray, p, vol: float) -> float:
+    """lp_norm of a field whose per-cell magnitudes are mag."""
     if p == np.inf or p == float("inf"):
         return float(np.max(mag))
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    vol = field.spec.cell_volume
     return float(np.sum(mag**p * vol) ** (1.0 / p))
 
 
@@ -354,17 +437,16 @@ def _third_derivative_magnitude(hess: TensorField) -> np.ndarray:
     (direction, a, b).  Only the six distinct entries of the symmetric
     Hessian are differenced per direction.
 
-    Built in slabs of rows along axis 0, so the differences of the whole
-    grid never exist at once.
+    Built in slabs of rows along axis 0 (_row_slabs), so the differences of
+    the whole grid never exist at once.
     """
     spec = hess.spec
     h = spec.spacing
     c = hess.comp
     n0 = spec.dims[0]
-    rows = 8  # a slab's 18 distinct differences then hold 2.6 MB at 48^2 cells per row
     mag = np.empty(spec.dims)
-    for i0 in range(0, n0, rows):
-        i1 = min(i0 + rows, n0)
+
+    def slab(i0, i1):
         # diff_shifted along axis 0, restricted to rows i0..i1-1
         centre = np.clip(np.arange(i0, i1), 1, n0 - 2)
         per_direction = (
@@ -374,6 +456,36 @@ def _third_derivative_magnitude(hess: TensorField) -> np.ndarray:
         )
         mag[i0:i1] = np.sqrt(sum_of_squares(
             [d for op in per_direction for d in symmetric_components(c, op)]))
+
+    _row_slabs(slab, n0, _SLAB_ROWS)
+    return mag
+
+
+def _jacobian_magnitude(v: VectorField) -> np.ndarray:
+    """Per-cell magnitude of jacobian(v), bit for bit, built in slabs of rows
+    along axis 0: a slab differences its rows and, along axis 0, two halo rows
+    on each side (a one-sided end reads three rows), so the nine derivatives
+    of the whole grid never exist at once.  Raises NonFiniteError, as
+    jacobian(v) does, when a derivative is not finite."""
+    h = v.spec.spacing
+    n0 = v.spec.dims[0]
+    mag = np.empty(v.spec.dims)
+
+    def slab(i0, i1):
+        lo, hi = max(i0 - 2, 0), min(i1 + 2, n0)
+
+        def d(a, b):  # d v_b / d x_a on rows i0..i1-1
+            if a == 0:
+                return diff(v.comp[b, lo:hi], 0, h[0])[i0 - lo:i1 - lo]
+            return diff(v.comp[b, i0:i1], a, h[a])
+
+        terms = [d(a, b) for a in range(3) for b in range(3)]
+        mag[i0:i1] = np.sqrt(sum_of_squares(terms))
+        # a magnitude overflows also from finite derivatives; only these raise
+        if not np.all(np.isfinite(mag[i0:i1])) and not all(np.all(np.isfinite(t)) for t in terms):
+            raise NonFiniteError("field values must be finite")
+
+    _row_slabs(slab, n0, _SLAB_ROWS)
     return mag
 
 
@@ -408,12 +520,15 @@ def eigmin_symmetric(comp: np.ndarray) -> np.ndarray:
     Closed-form solve of the characteristic polynomial (trigonometric method);
     exactly the diagonal minimum for diagonal matrices.  The kernel is
     elementwise, so it runs in slabs of rows along the first grid axis into
-    one output array, and its dozen temporaries never span the whole grid.
+    one output array (_row_slabs), and its dozen temporaries never span the
+    whole grid.
     """
-    rows = 8
     out = np.empty(comp.shape[2:])
-    for i0 in range(0, out.shape[0], rows):
-        out[i0:i0 + rows] = _eigmin_rows(comp[:, :, i0:i0 + rows])
+
+    def slab(i0, i1):
+        out[i0:i1] = _eigmin_rows(comp[:, :, i0:i1])
+
+    _row_slabs(slab, out.shape[0], _SLAB_ROWS)
     return out
 
 

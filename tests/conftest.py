@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semigeo.grid
 from semigeo.divcurl import _matvec, apply_operator, invert_3x3
 from semigeo.grid import (
     ScalarField,
@@ -11,6 +12,18 @@ from semigeo.grid import (
     gradient_values,
 )
 from semigeo.stepper import run
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """force(n): run the row slabs of every grid, however few its rows, on n
+    workers (grid._row_slabs) for the rest of the test."""
+
+    def force(n):
+        monkeypatch.setattr(semigeo.grid, "_WORKERS", n)
+        monkeypatch.setattr(semigeo.grid, "_TWO_WORKER_ROWS", 0)
+
+    return force
 
 
 @pytest.fixture(scope="session")

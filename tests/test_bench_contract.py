@@ -4,14 +4,17 @@ and its checks read the CLI's series.csv and VTK snapshots.  These tests fail
 when a library change breaks any of these hooks."""
 
 import csv
+import functools
 import importlib
 import importlib.util
 import io
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import semigeo.grid
 from semigeo.cli import main, parse_config
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -91,3 +94,33 @@ def test_tracer_sees_every_step(tmp_path, inputs):
             step_iters[-1] += spans.notes[i]
     rows = csv.DictReader(io.StringIO((out / "series.csv").read_text()))
     assert step_iters == [int(r["solver_iters"]) for r in rows if int(r["step"]) > 0]
+
+
+def test_traced_calls_stay_on_the_main_thread(tmp_path, workers, monkeypatch):
+    # the tracer keeps one stack of nested spans, so every traced function
+    # must run on the thread that called main(), not on the row-slab worker
+    tracer = load("tracer")
+    off_main, slab_threads = [], set()
+
+    class MainThreadOnly(tracer.Tracer):
+        def wrap(self, name, fn):
+            traced = super().wrap(name, fn)
+
+            @functools.wraps(fn)
+            def checked(*args, **kwargs):
+                if threading.current_thread() is not threading.main_thread():
+                    off_main.append(name)
+                return traced(*args, **kwargs)
+
+            return checked
+
+    eigmin_rows = semigeo.grid._eigmin_rows
+    monkeypatch.setattr(semigeo.grid, "_eigmin_rows", lambda c: (
+        slab_threads.add(threading.current_thread()), eigmin_rows(c))[1])
+    workers(2)
+    with MainThreadOnly().installed():
+        assert main(["--grid", "17,6,7", "--preset", "bump", "--coriolis", "profile:0.05",
+                     "--emit", "csv,fields", "--snap-every", "1", "--dt", "0.001",
+                     "--steps", "2", "--out", str(tmp_path / "run")]) == 0
+    assert off_main == []
+    assert len(slab_threads) == 2  # the worker did run slabs

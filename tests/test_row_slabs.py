@@ -1,0 +1,206 @@
+"""The row-slab driver (grid._row_slabs) and the kernels that run on it give
+the same bits on one worker and on two: every range writes its own rows, and
+every reduction stays whole on the calling thread."""
+
+import json
+import sys
+import threading
+import time
+import weakref
+
+import numpy as np
+import pytest
+
+import semigeo.grid
+from semigeo.cli import main
+from semigeo.coriolis import coriolis_transport_data, linear_coriolis
+from semigeo.divcurl import apply_operator, reduce_to_darcy, solve_darcy, verify_estimate
+from semigeo.grid import (
+    GridSpec,
+    NonFiniteError,
+    VectorField,
+    _jacobian_magnitude,
+    _third_derivative_magnitude,
+    curl,
+    eigmin_symmetric,
+    jacobian,
+    lp_norm,
+)
+from semigeo.stepper import init_state
+
+
+def on_main():
+    return threading.current_thread() is threading.main_thread()
+
+
+class TestDriver:
+    def ranges(self, n0, rows=None):
+        seen = []
+        semigeo.grid._row_slabs(lambda i0, i1: seen.append((i0, i1, on_main())), n0, rows)
+        return sorted(seen)
+
+    def test_two_workers_split_the_ranges(self, workers):
+        workers(2)
+        assert self.ranges(18, 8) == [(0, 8, True), (8, 16, True), (16, 18, False)]
+        assert self.ranges(9) == [(0, 5, True), (5, 9, False)]
+
+    def test_one_worker_runs_every_range_here(self, workers):
+        workers(1)
+        assert self.ranges(18, 8) == [(0, 8, True), (8, 16, True), (16, 18, True)]
+        assert self.ranges(9) == [(0, 9, True)]
+
+    def test_two_workers_from_forty_rows(self, monkeypatch):
+        monkeypatch.setattr(semigeo.grid, "_WORKERS", 2)
+        assert self.ranges(39) == [(0, 39, True)]
+        assert self.ranges(48) == [(0, 24, True), (24, 48, False)]
+
+    def test_worker_holds_nothing_after_the_call(self, workers):
+        # a job's arrays must not outlive the call that made them
+        workers(2)
+        out = np.zeros(9)
+        ref = weakref.ref(out)
+
+        def fill(i0, i1, out=out):
+            out[i0:i1] = 1.0
+
+        semigeo.grid._row_slabs(fill, 9)
+        assert np.all(out == 1.0)
+        del fill, out
+        assert ref() is None
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_raised_once_both_halves_ran(self, workers, failing):
+        workers(2)
+        done = []
+
+        def fn(i0, i1):
+            if on_main() == (failing == "caller"):
+                raise ValueError(f"range {i0}..{i1}")
+            time.sleep(0.05)
+            done.append(i0)
+
+        with pytest.raises(ValueError, match="range 5..9" if failing == "worker" else "range 0..5"):
+            semigeo.grid._row_slabs(fn, 9)
+        assert done == [0 if failing == "worker" else 5]
+
+
+def test_concurrent_callers_share_the_worker(workers):
+    # three callers on two cores hand their halves to the one worker thread,
+    # with a thread switch every microsecond; each gets the one-worker bits
+    spec = GridSpec(dims=(9, 6, 7))
+    s = init_state("bump", spec, delta=0.01, k=1)
+    p = reduce_to_darcy(coriolis_transport_data(s, c=linear_coriolis(spec, 0.05)))
+    q = np.random.default_rng(6).standard_normal(spec.dims)
+    workers(1)
+    want = (apply_operator(p, q), eigmin_symmetric(s.hess.comp))
+    workers(2)
+    wrong = []
+
+    def caller():
+        for _ in range(40):
+            got = (apply_operator(p, q), eigmin_symmetric(s.hess.comp))
+            wrong.extend(not np.array_equal(a, b) for a, b in zip(got, want))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(wrong) == 3 * 40 * 2 and not any(wrong)
+
+
+@pytest.mark.parametrize("dims", [(9, 6, 7), (18, 5, 6)], ids=["odd-rows", "three-slabs"])
+def test_kernels_do_not_depend_on_workers(dims, workers):
+    # a last slab of one and of two rows, a non-symmetric Coriolis coefficient
+    spec = GridSpec(dims=dims, extents=(1.0, 1.5, 0.75))
+    s = init_state("bump", spec, delta=0.01, k=1)
+    d = coriolis_transport_data(s, c=linear_coriolis(spec, 0.05))
+    p = reduce_to_darcy(d)
+    assert not p.m.symmetric
+    q = np.random.default_rng(5).standard_normal(dims)
+    u = solve_darcy(p).u
+    results = []
+    for n in (1, 2):
+        workers(n)
+        results.append((apply_operator(p, q), eigmin_symmetric(s.hess.comp),
+                        _third_derivative_magnitude(s.hess), verify_estimate(u, d, 4.0),
+                        verify_estimate(u, d, np.inf)))
+    one, two = results
+    for a, b in zip(one[:3], two[:3]):
+        assert np.array_equal(a, b)
+    assert one[3:] == two[3:]
+
+
+@pytest.mark.parametrize("p", [4.0, np.inf])
+def test_ratios_are_the_whole_jacobian_norms(p, workers):
+    # the slabbed magnitude gives the norms of the full 9-component jacobian
+    workers(2)
+    spec = GridSpec(dims=(9, 6, 7))
+    s = init_state("bump", spec, delta=0.01, k=1)
+    d = coriolis_transport_data(s, c=linear_coriolis(spec, 0.05))
+    u = solve_darcy(reduce_to_darcy(d)).u
+    r = verify_estimate(u, d, p)
+    assert r.u_ratio == (lp_norm(u, p) + lp_norm(jacobian(u), p)) / lp_norm(curl(d.f), p)
+
+
+def test_jacobian_magnitude_raises_where_jacobian_does(workers):
+    # finite derivatives whose squares overflow give an infinite magnitude, as
+    # the full tensor's did; a derivative that overflows raises, as jacobian does
+    workers(2)
+    spec = GridSpec(dims=(9, 5, 5))
+    x = spec.cell_centers()
+    steep = VectorField(spec, 1e306 * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.all(np.isfinite(jacobian(steep).comp))
+        assert np.all(np.isinf(_jacobian_magnitude(steep)))
+        # each step of 3.4e308 overflows a difference
+        jump = VectorField(spec, np.where(x > 0.8, 1.7e308, -1.7e308))
+        with pytest.raises(NonFiniteError):
+            jacobian(jump)
+        with pytest.raises(NonFiniteError, match="field values must be finite"):
+            _jacobian_magnitude(jump)
+
+
+@pytest.mark.parametrize("inputs", [
+    "--preset bump --bump-delta 0.02 --coriolis profile:0.05",  # BiCGStab
+    "--preset quadratic --quad 2,1,0.5",  # CG
+], ids=["bump-coriolis", "quadratic"])
+def test_cli_artifacts_do_not_depend_on_workers(tmp_path, workers, inputs):
+    argv = inputs.split() + ["--grid", "9,6,7", "--dt", "0.002", "--steps", "4",
+                             "--emit", "csv,fields", "--snap-every", "2"]
+    outs = []
+    for n in (1, 2):
+        workers(n)
+        outs.append(tmp_path / f"w{n}")
+        assert main(argv + ["--out", str(outs[-1])]) == 0
+    one, two = outs
+    names = sorted(f.name for f in one.iterdir())
+    assert names == ["fields_0002.vtk", "fields_0004.vtk", "run.json", "series.csv"]
+    assert sorted(f.name for f in two.iterdir()) == names
+    for name in names[:2] + ["series.csv"]:
+        assert (one / name).read_bytes() == (two / name).read_bytes()
+    assert json.loads((one / "run.json").read_text())["steps_completed"] == 4
+    meta = [(out / "run.json").read_text().replace(json.dumps(str(out)), '"OUT"') for out in outs]
+    assert meta[0] == meta[1] and '"out": "OUT"' in meta[0]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("inputs", [
+    "--grid 6 --dt 1e100",  # the step-1 record's norms overflow
+    "--grid 12,6,6 --dt 1e156",  # and its third-derivative magnitude, on the worker
+], ids=["dt-1e100", "worker-overflow"])
+def test_worker_keeps_the_runs_error_state(tmp_path, workers, inputs):
+    # run_experiment turns numpy's warnings off in its context; the worker
+    # runs each range in a copy of that context, so its overflows stay silent
+    workers(2)
+    out = tmp_path / "out"
+    argv = inputs.split() + ["--preset", "bump", "--steps", "2", "--out", str(out)]
+    assert main(argv) == 0
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["halt_reason"].startswith("non-finite values at step 1: ")
