@@ -16,10 +16,12 @@ checkerboard modes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .grid import (
+    _SLAB_ROWS,
     GridSpec,
     ScalarField,
     TensorField,
@@ -176,12 +178,18 @@ def _matvec(t: TensorField, v: np.ndarray) -> np.ndarray:
 
     Row a is (t[a,0] v0 + t[a,2] v2) + t[a,1] v1, added into zeros: the order
     np.einsum("...ab,...b->...a") took on row-major (..., 3, 3) tensors and
-    (..., 3) vectors, so products are bit-identical to it.
+    (..., 3) vectors, so products are bit-identical to it.  Runs in one row
+    range per worker (_row_slabs).
     """
     c = t.comp
     out = np.zeros(v.shape)
-    for a in range(3):
-        out[a] += (c[a, 0] * v[0] + c[a, 2] * v[2]) + c[a, 1] * v[1]
+
+    def slab(i0, i1):
+        w = v[:, i0:i1]
+        for a in range(3):
+            out[a, i0:i1] += (c[a, 0, i0:i1] * w[0] + c[a, 2, i0:i1] * w[2]) + c[a, 1, i0:i1] * w[1]
+
+    _row_slabs(slab, v.shape[1])
     return out
 
 
@@ -191,19 +199,15 @@ def invert_3x3(t: TensorField) -> TensorField:
     One formula for every tensor.  On symmetric input each lower cofactor is
     the matching upper one with the factors of each product swapped, and
     IEEE multiplication commutes exactly, so the output is exactly symmetric.
+    Runs in slabs of rows along axis 0 (_row_slabs); a slab that holds a
+    singular cell divides nothing, and the first such cell in C order is
+    reported.
     """
     c = t.comp
-    a00, a01, a02 = c[0]
-    a10, a11, a12 = c[1]
-    a20, a21, a22 = c[2]
-
-    c00 = a11 * a22 - a12 * a21
-    c01 = a12 * a20 - a10 * a22
-    c02 = a10 * a21 - a11 * a20
-    det = a00 * c00 + a01 * c01 + a02 * c02
-
-    norm = np.sqrt(sum_of_squares([c[a, b] for a in range(3) for b in range(3)]))
-    bad = np.abs(det) <= 1e-12 * norm**3
+    inv = np.empty_like(c)
+    det = np.empty(t.spec.dims)
+    bad = np.empty(t.spec.dims, dtype=bool)
+    _row_slabs(partial(_invert_rows, c, inv, det, bad), t.spec.dims[0], _SLAB_ROWS)
     if np.any(bad):
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise SingularTensorError(
@@ -212,37 +216,80 @@ def invert_3x3(t: TensorField) -> TensorField:
             cell=tuple(int(i) for i in idx),
             value=float(det[idx]),
         )
-
-    inv = np.empty_like(c)
-    inv[0, 0] = c00
-    inv[0, 1] = a02 * a21 - a01 * a22
-    inv[0, 2] = a01 * a12 - a02 * a11
-    inv[1, 1] = a00 * a22 - a02 * a20
-    inv[1, 2] = a02 * a10 - a00 * a12
-    inv[2, 2] = a00 * a11 - a01 * a10
-    inv[1, 0] = c01
-    inv[2, 0] = c02
-    inv[2, 1] = a01 * a20 - a00 * a21
-    inv /= det
     return TensorField(t.spec, inv)
+
+
+def _invert_rows(c, inv, det, bad, i0: int, i1: int) -> None:
+    """Rows i0..i1-1 of invert_3x3: the determinant and the singular mask,
+    then, when no cell of the slab is singular, the inverse."""
+    c = c[:, :, i0:i1]
+    a00, a01, a02 = c[0]
+    a10, a11, a12 = c[1]
+    a20, a21, a22 = c[2]
+
+    c00 = a11 * a22 - a12 * a21
+    c01 = a12 * a20 - a10 * a22
+    c02 = a10 * a21 - a11 * a20
+    d = det[i0:i1]
+    d[...] = a00 * c00 + a01 * c01 + a02 * c02
+
+    norm = np.sqrt(sum_of_squares([c[a, b] for a in range(3) for b in range(3)]))
+    singular = bad[i0:i1]
+    singular[...] = np.abs(d) <= 1e-12 * norm**3
+    if np.any(singular):
+        return
+
+    out = inv[:, :, i0:i1]
+    out[0, 0] = c00
+    out[0, 1] = a02 * a21 - a01 * a22
+    out[0, 2] = a01 * a12 - a02 * a11
+    out[1, 1] = a00 * a22 - a02 * a20
+    out[1, 2] = a02 * a10 - a00 * a12
+    out[2, 2] = a00 * a11 - a01 * a10
+    out[1, 0] = c01
+    out[2, 0] = c02
+    out[2, 1] = a01 * a20 - a00 * a21
+    out /= d
 
 
 def reduce_to_darcy(d: DivCurlData) -> DarcyProblem:
     spec = d.a.spec
-    h = spec.spacing
     m = invert_3x3(d.a)
     mf = _matvec(m, d.f.comp)
-    rhs_vals = np.zeros(spec.dims)
-    for a in range(3):
-        _face_diff_t(_face_avg(mf[a], a), a, h[a], rhs_vals)
-    rhs_vals = -rhs_vals
-    m_face = tuple(_face_avg(m.comp[a, a], a) for a in range(3))
+    rhs_vals = np.empty(spec.dims)
+    m_face = tuple(np.empty(spec.dims[:a] + (n - 1,) + spec.dims[a + 1:])
+                   for a, n in enumerate(spec.dims))
+    _row_slabs(partial(_reduce_rows, m.comp, mf, rhs_vals, m_face, spec.spacing), spec.dims[0])
     return DarcyProblem(
         m=m,
         mf=VectorField(spec, mf),
         rhs=ScalarField(spec, rhs_vals),
         m_face=m_face,
     )
+
+
+def _reduce_rows(mc, mf, rhs, m_face, h, i0: int, i1: int) -> None:
+    """Rows i0..i1-1 of the reduced right-hand side, the negated flux balance
+    of M f with closed boundary faces, and the axis-0 faces i0..i1-1 (those
+    that exist) and rows i0..i1-1 of the face coefficients.  Along axis 0 the
+    range reads one halo row of mf on each side; each cell adds its terms in
+    the order _face_diff_t takes over the whole grid."""
+    n0 = mf.shape[1]
+    lo, hi = max(i0 - 1, 0), min(i1 + 1, n0)
+    rows = rhs[i0:i1]
+    rows[...] = 0.0
+    # axis 0: faces lo..hi-2, face f between rows f and f+1; row r adds the
+    # flux of face r-1, then takes that of face r
+    g = _face_avg(mf[0, lo:hi], 0) / h[0]
+    first, last = max(i0, 1), min(i1, n0 - 1)
+    rhs[first:i1] += g[first - 1 - lo:i1 - 1 - lo]
+    rhs[i0:last] -= g[i0 - lo:last - lo]
+    for a in (1, 2):
+        _face_diff_t(_face_avg(mf[a, i0:i1], a), a, h[a], rows)
+    np.negative(rows, out=rows)
+    m_face[0][i0:last] = _face_avg(mc[0, 0, i0:min(i1 + 1, n0)], 0)
+    for a in (1, 2):
+        m_face[a][i0:i1] = _face_avg(mc[a, a, i0:i1], a)
 
 
 def apply_operator(p: DarcyProblem, q: np.ndarray) -> np.ndarray:

@@ -204,8 +204,13 @@ def _row_slabs(fn, n0: int, rows: int | None = None) -> None:
     With two workers this thread runs the first half of the ranges and one
     persistent worker thread the second, in a copy of this thread's context
     (numpy's error state is a context variable).  An exception from either
-    half is raised once both have finished.  fn should call no function in a
-    module's __all__: a profiler that wraps those assumes one thread.
+    half is raised once both have finished.  fn should call only private
+    helpers (diff, diff2, sum_of_squares, symmetric_components, ...), never a
+    function that the benchmark's tracer wraps (its TRACED set, which holds
+    gradient_values as well as exported functions): the tracer keeps one
+    stack of spans and assumes one thread.  A range may keep its own rows'
+    maxima or minima, which are exact in any order; sums and dot products
+    stay whole on the caller.
     """
     global _jobs
     workers = _WORKERS if n0 >= _TWO_WORKER_ROWS else 1
@@ -298,6 +303,16 @@ def diff_shifted(a: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _diff_rows(a: np.ndarray, axis: int, h: float, i0: int, i1: int) -> np.ndarray:
+    """diff(a, axis, h) on rows i0..i1-1 of axis 0, bit for bit, from those
+    rows and, along axis 0, two halo rows on each side (a one-sided end reads
+    three rows)."""
+    if axis == 0:
+        lo = max(i0 - 2, 0)
+        return diff(a[lo:i1 + 2], 0, h)[i0 - lo:i1 - lo]
+    return diff(a[i0:i1], axis, h)
+
+
 # ---------------------------------------------------------------------------
 # differential operators on fields
 # ---------------------------------------------------------------------------
@@ -305,11 +320,16 @@ def diff_shifted(a: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 def gradient_values(values: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Stencil gradient of raw (nx, ny, nz) values, component-major:
-    (3, nx, ny, nz), out[a] the derivative along axis a."""
+    (3, nx, ny, nz), out[a] the derivative along axis a.  Runs in one row
+    range per worker (_row_slabs)."""
     h = spec.spacing
     out = np.empty((3,) + spec.dims)
-    for a in range(3):
-        out[a] = diff(values, a, h[a])
+
+    def rows(i0, i1):
+        for a in range(3):
+            out[a, i0:i1] = _diff_rows(values, a, h[a], i0, i1)
+
+    _row_slabs(rows, spec.dims[0])
     return out
 
 
@@ -323,18 +343,27 @@ def hessian(s: ScalarField) -> TensorField:
 
     Diagonal entries use compact second-derivative stencils; mixed partials
     are computed once per unordered pair and mirrored, so the output is
-    exactly symmetric.
+    exactly symmetric.  Runs in one row range per worker (_row_slabs): a
+    range differences its rows and, along axis 0, halo rows on each side,
+    three for diff2, whose one-sided ends read four rows.
     """
     h = s.spec.spacing
+    v = s.values
     out = np.empty((3, 3) + s.spec.dims)
-    for a in range(3):
-        out[a, a] = diff2(s.values, a, h[a])
-    for a in range(2):  # the pairs (0, 1), (0, 2), (1, 2)
-        da = diff(s.values, a, h[a])
-        for b in range(a + 1, 3):
-            mixed = diff(da, b, h[b])
-            out[a, b] = mixed
-            out[b, a] = mixed
+
+    def rows(i0, i1):
+        lo = max(i0 - 3, 0)
+        out[0, 0, i0:i1] = diff2(v[lo:i1 + 3], 0, h[0])[i0 - lo:i1 - lo]
+        for a in (1, 2):
+            out[a, a, i0:i1] = diff2(v[i0:i1], a, h[a])
+        for a in range(2):  # the pairs (0, 1), (0, 2), (1, 2)
+            da = _diff_rows(v, a, h[a], i0, i1)
+            for b in range(a + 1, 3):
+                mixed = diff(da, b, h[b])
+                out[a, b, i0:i1] = mixed
+                out[b, a, i0:i1] = mixed
+
+    _row_slabs(rows, s.spec.dims[0])
     return TensorField(s.spec, out)
 
 
@@ -349,16 +378,20 @@ def jacobian(v: VectorField) -> TensorField:
 
 
 def curl(v: VectorField) -> VectorField:
-    """Stencil curl; only the six off-diagonal derivatives are taken."""
+    """Stencil curl; only the six off-diagonal derivatives are taken.  Runs
+    in one row range per worker (_row_slabs)."""
     h = v.spec.spacing
-
-    def d(a, b):  # d v_b / d x_a
-        return diff(v.comp[b], a, h[a])
-
     out = np.empty((3,) + v.spec.dims)
-    np.subtract(d(1, 2), d(2, 1), out=out[0])
-    np.subtract(d(2, 0), d(0, 2), out=out[1])
-    np.subtract(d(0, 1), d(1, 0), out=out[2])
+
+    def rows(i0, i1):
+        def d(a, b):  # d v_b / d x_a on rows i0..i1-1
+            return _diff_rows(v.comp[b], a, h[a], i0, i1)
+
+        np.subtract(d(1, 2), d(2, 1), out=out[0, i0:i1])
+        np.subtract(d(2, 0), d(0, 2), out=out[1, i0:i1])
+        np.subtract(d(0, 1), d(1, 0), out=out[2, i0:i1])
+
+    _row_slabs(rows, v.spec.dims[0])
     return VectorField(v.spec, out)
 
 
@@ -401,13 +434,23 @@ def symmetric_components(comp: np.ndarray, op) -> list:
 
 
 def _cell_magnitude(field) -> np.ndarray:
+    """Per-cell magnitude of a field; a vector's or a tensor's is taken in
+    slabs of rows along axis 0 (_row_slabs)."""
     if isinstance(field, ScalarField):
         return np.abs(field.values)
     if isinstance(field, VectorField):
-        return np.sqrt(sum_of_squares(list(field.comp)))
-    if isinstance(field, TensorField):
-        return np.sqrt(sum_of_squares([field.comp[a, b] for a in range(3) for b in range(3)]))
-    raise TypeError(f"unsupported field type {type(field).__name__}")
+        comps = list(field.comp)
+    elif isinstance(field, TensorField):
+        comps = [field.comp[a, b] for a in range(3) for b in range(3)]
+    else:
+        raise TypeError(f"unsupported field type {type(field).__name__}")
+    mag = np.empty(field.spec.dims)
+
+    def slab(i0, i1):
+        mag[i0:i1] = np.sqrt(sum_of_squares([c[i0:i1] for c in comps]))
+
+    _row_slabs(slab, len(mag), _SLAB_ROWS)
+    return mag
 
 
 def cell_magnitude(field) -> ScalarField:
@@ -428,7 +471,14 @@ def _magnitude_lp(mag: np.ndarray, p, vol: float) -> float:
     p = float(p)
     if p < 1.0:
         raise ValueError(f"p must be >= 1 or inf, got {p}")
-    return float(np.sum(mag**p * vol) ** (1.0 / p))
+    # the powers in slabs of rows (_row_slabs), their sum whole
+    weighted = np.empty(mag.shape)
+
+    def slab(i0, i1):
+        weighted[i0:i1] = mag[i0:i1] ** p * vol
+
+    _row_slabs(slab, len(mag), _SLAB_ROWS)
+    return float(np.sum(weighted) ** (1.0 / p))
 
 
 def _third_derivative_magnitude(hess: TensorField) -> np.ndarray:
@@ -463,23 +513,15 @@ def _third_derivative_magnitude(hess: TensorField) -> np.ndarray:
 
 def _jacobian_magnitude(v: VectorField) -> np.ndarray:
     """Per-cell magnitude of jacobian(v), bit for bit, built in slabs of rows
-    along axis 0: a slab differences its rows and, along axis 0, two halo rows
-    on each side (a one-sided end reads three rows), so the nine derivatives
-    of the whole grid never exist at once.  Raises NonFiniteError, as
-    jacobian(v) does, when a derivative is not finite."""
+    along axis 0 (_diff_rows), so the nine derivatives of the whole grid never
+    exist at once.  Raises NonFiniteError, as jacobian(v) does, when a
+    derivative is not finite."""
     h = v.spec.spacing
     n0 = v.spec.dims[0]
     mag = np.empty(v.spec.dims)
 
     def slab(i0, i1):
-        lo, hi = max(i0 - 2, 0), min(i1 + 2, n0)
-
-        def d(a, b):  # d v_b / d x_a on rows i0..i1-1
-            if a == 0:
-                return diff(v.comp[b, lo:hi], 0, h[0])[i0 - lo:i1 - lo]
-            return diff(v.comp[b, i0:i1], a, h[a])
-
-        terms = [d(a, b) for a in range(3) for b in range(3)]
+        terms = [_diff_rows(v.comp[b], a, h[a], i0, i1) for a in range(3) for b in range(3)]
         mag[i0:i1] = np.sqrt(sum_of_squares(terms))
         # a magnitude overflows also from finite derivatives; only these raise
         if not np.all(np.isfinite(mag[i0:i1])) and not all(np.all(np.isfinite(t)) for t in terms):

@@ -27,11 +27,13 @@ from .divcurl import (
     verify_estimate,
 )
 from .grid import (
+    _SLAB_ROWS,
     GridSpec,
     NonFiniteError,
     ScalarField,
     TensorField,
     VectorField,
+    _row_slabs,
     cell_magnitude,
     gradient,
     hessian,
@@ -112,25 +114,30 @@ def preset_potential(name: str, spec: GridSpec, *, tilt=None, quad=None,
     quadratic:  x^T Q x / 2 for SPD Q (diagonal given as a 3-vector)
     bump:       |x|^2 / 2 + delta * prod_i sin(k pi xi_i), xi in unit coords
     """
-    x = spec.cell_centers()
-    base = 0.5 * sum_of_squares(list(x))
-    if name == "identity":
-        return base
-    if name == "tilt":
-        a = np.asarray(tilt if tilt is not None else (0.1, 0.0, 0.0), dtype=float)
-        # a.x summed in the order np.einsum("...a,a->...") takes on a row-major x
-        return base + ((x[0] * a[0] + x[2] * a[2]) + x[1] * a[1])
     if name == "quadratic":
         q = np.asarray(quad if quad is not None else (2.0, 1.0, 0.5), dtype=float)
         if q.shape == (3,):
             q = np.diag(q)
         if q.shape != (3, 3):
             raise ValueError("quadratic preset needs a 3-vector diagonal or a 3x3 matrix")
+        x = spec.cell_centers()
         return 0.5 * np.einsum("a...,ab,b...->...", x, q, x)
+    # the other presets are separable: each axis's coordinates broadcast over
+    # the grid, in the operations and order of the same formulas on
+    # cell_centers(), so every cell gets the same bits
+    x0, x1, x2 = (spec.axis_coords(a).reshape([-1 if b == a else 1 for b in range(3)])
+                  for a in range(3))
+    base = 0.5 * ((x0**2 + x1**2) + x2**2)  # sum_of_squares' order
+    if name == "identity":
+        return base
+    if name == "tilt":
+        a = np.asarray(tilt if tilt is not None else (0.1, 0.0, 0.0), dtype=float)
+        # a.x summed in the order np.einsum("...a,a->...") takes on a row-major x
+        return base + ((x0 * a[0] + x2 * a[2]) + x1 * a[1])
     if name == "bump":
-        xi = [(x[a] - spec.origin[a]) / spec.extents[a] for a in range(3)]
-        wave = np.prod([np.sin(k * np.pi * c) for c in xi], axis=0)
-        return base + float(delta) * wave
+        s0, s1, s2 = (np.sin(k * np.pi * ((c - spec.origin[a]) / spec.extents[a]))
+                      for a, c in enumerate((x0, x1, x2)))
+        return base + float(delta) * ((s0 * s1) * s2)  # np.prod's order over axis 0
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -199,9 +206,8 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
 
     alpha = 1.0 - 3.0 / p
     quotient = 0.0
-    for a in range(3):
-        dn = np.sqrt(sum_of_squares(symmetric_components(s.hess.comp, partial(np.diff, axis=a))))
-        quotient = max(quotient, float(np.max(dn)) / spec.spacing[a] ** alpha)
+    for a, row_max in enumerate(_difference_row_maxima(s.hess.comp)):
+        quotient = max(quotient, float(np.max(row_max)) / spec.spacing[a] ** alpha)
     m_star = lp_norm(frob, np.inf) + quotient + s.lambda_min / 6.0
 
     kappa = (omega + 2.0 * c_star * volume_term) / (1.0 + 2.0 * c_star)
@@ -210,6 +216,27 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
         lambda0=s.lambda_min, omega=omega, m_star=m_star, c_star=c_star,
         c_m=c_m, kappa=kappa, tau_star=tau_star, p=p, norm_w3p0=grad_norm,
     )
+
+
+def _difference_row_maxima(comp: np.ndarray) -> np.ndarray:
+    """(3, n0) array: entry (a, i) is the largest per-cell magnitude of the
+    forward differences along axis a (np.diff) of a symmetric tensor's
+    components, over the differences that start in row i; -inf where none
+    does (the last row, along axis 0).  Built in slabs of rows (_row_slabs),
+    each slab reading one halo row for axis 0 and keeping its rows' maxima,
+    which are exact in any order."""
+    n0 = comp.shape[2]
+    row_max = np.full((3, n0), -np.inf)
+
+    def slab(i0, i1):
+        for a in range(3):
+            rows = comp[:, :, i0:(min(i1 + 1, n0) if a == 0 else i1)]
+            dn = np.sqrt(sum_of_squares(symmetric_components(rows, partial(np.diff, axis=a))))
+            if dn.size:  # no difference along axis 0 starts in the last row
+                row_max[a, i0:i0 + len(dn)] = dn.max(axis=(1, 2))
+
+    _row_slabs(slab, n0, _SLAB_ROWS)
+    return row_max
 
 
 def transport_data(s: GeopotentialState) -> DivCurlData:

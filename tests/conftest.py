@@ -8,8 +8,10 @@ from semigeo.grid import (
     TensorField,
     VectorField,
     diff,
+    diff2,
     diff_shifted,
     gradient_values,
+    sum_of_squares,
 )
 from semigeo.stepper import run
 
@@ -205,6 +207,75 @@ def row_major_apply_operator(mv, m_face, has_mixed, h, q):
             flux += face_avg(cross, a)
         face_diff_t(flux, a, h[a], out)
     return out
+
+
+# Whole-grid references: kernels as they were written before they ran in row
+# ranges (grid._row_slabs), kept to check that the ranged kernels compute the
+# same values bit for bit.
+
+
+def whole_grid_hessian(s):
+    """(3, 3, nx, ny, nz) stencil Hessian of a scalar field over the whole
+    grid: compact diagonal stencils, each mixed partial once and mirrored."""
+    h = s.spec.spacing
+    out = np.empty((3, 3) + s.spec.dims)
+    for a in range(3):
+        out[a, a] = diff2(s.values, a, h[a])
+    for a in range(2):
+        da = diff(s.values, a, h[a])
+        for b in range(a + 1, 3):
+            mixed = diff(da, b, h[b])
+            out[a, b] = mixed
+            out[b, a] = mixed
+    return out
+
+
+def whole_grid_darcy_rhs(m, mf):
+    """The right-hand side and the face coefficients of reduce_to_darcy over
+    the whole grid: the negated flux balance of M f with closed boundary
+    faces, and the face averages of M's diagonal, one array per axis."""
+    h = m.spec.spacing
+
+    def ends(x, axis):  # x without its first, and without its last, layer along axis
+        keep = (slice(None),) * axis
+        return x[keep + (slice(1, None),)], x[keep + (slice(None, -1),)]
+
+    rhs = np.zeros(m.spec.dims)
+    for a in range(3):
+        hi, lo = ends(mf.comp[a], a)
+        g = 0.5 * (hi + lo) / h[a]
+        r_hi, r_lo = ends(rhs, a)
+        r_hi += g
+        r_lo -= g
+    m_face = tuple(0.5 * (hi + lo) for hi, lo in (ends(m.comp[a, a], a) for a in range(3)))
+    return -rhs, m_face
+
+
+def cell_centers_preset(name, spec, *, tilt=(0.1, 0.0, 0.05), delta=0.01, k=1):
+    """The identity, tilt and bump presets from the whole-grid cell_centers()
+    array, as preset_potential built them."""
+    x = spec.cell_centers()
+    base = 0.5 * sum_of_squares(list(x))
+    if name == "identity":
+        return base
+    if name == "tilt":
+        a = np.asarray(tilt, dtype=float)
+        return base + ((x[0] * a[0] + x[2] * a[2]) + x[1] * a[1])
+    xi = [(x[a] - spec.origin[a]) / spec.extents[a] for a in range(3)]
+    wave = np.prod([np.sin(k * np.pi * c) for c in xi], axis=0)
+    return base + float(delta) * wave
+
+
+def whole_grid_hoelder_quotient(hess, alpha):
+    """The C^{1,alpha} difference quotient of compute_constants over the
+    whole grid: per axis, the largest magnitude of the forward differences of
+    the six distinct Hessian entries, over h^alpha."""
+    quotient = 0.0
+    for a in range(3):
+        d = {(i, j): np.diff(hess.comp[i, j], axis=a) for i in range(3) for j in range(i, 3)}
+        dn = np.sqrt(sum_of_squares([d[min(i, j), max(i, j)] for i in range(3) for j in range(3)]))
+        quotient = max(quotient, float(np.max(dn)) / hess.spec.spacing[a] ** alpha)
+    return quotient
 
 
 def all_27_third_derivative_magnitude(hess):

@@ -520,11 +520,11 @@ class TestPinnedHeap:
 
 
 class TestMemoryBound:
-    """The transient memory of a step and of a record, counted by tracemalloc
-    in whole-grid float64 arrays on the 32^3 bump.  numpy reports its buffers
-    to tracemalloc, so the count does not depend on the C library or on where
-    the heap places arrays.  Each bound is the current peak rounded up to the
-    next whole grid."""
+    """The transient memory of a step, a record and the scheme constants,
+    counted by tracemalloc in whole-grid float64 arrays on the 32^3 bump.
+    numpy reports its buffers to tracemalloc, so the count does not depend on
+    the C library or on where the heap places arrays.  Each bound is the
+    current peak rounded up to the next whole grid."""
 
     SPEC = GridSpec(dims=(32, 32, 32))
 
@@ -546,4 +546,10 @@ class TestMemoryBound:
         _, record_grids = self.peak_grids(lambda: emit_record(
             new, sol, constants, step=1, ratios=verify_estimate(sol.u, data, constants.p)))
         assert step_grids <= 34
-        assert record_grids <= 13
+        assert record_grids <= 10
+
+    def test_constants_peak(self):
+        # the Hoelder quotient and the magnitudes are taken in 8-row slabs
+        s = init_state("bump", self.SPEC, delta=0.01, k=1)
+        _, grids = self.peak_grids(lambda: compute_constants(s))
+        assert grids <= 10

@@ -131,6 +131,25 @@ class TestInvert3x3:
             invert_3x3(TensorField(spec, vals))
         assert err.value.cell == (1, 2, 3)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad, first, det", [
+        ({(37, 1, 2): 0.0, (12, 3, 0): 1e-14}, (12, 3, 0), 1e-14),  # one in each half
+        ({(39, 0, 0): 0.0, (37, 1, 2): 0.0}, (37, 1, 2), 0.0),  # the worker's half only
+    ], ids=["both-halves", "worker-half"])
+    def test_singular_slabs_divide_nothing(self, workers, bad, first, det):
+        # rows 0..23 run here and rows 24..40 on the worker, in 8-row slabs; a
+        # slab that holds a singular cell skips its division, so no zero
+        # determinant warns, and the first bad cell in C order is reported
+        workers(2)
+        spec = GridSpec(dims=(41, 4, 5))
+        vals = per_cell(np.eye(3), spec)
+        for cell, a22 in bad.items():
+            vals[(slice(None), slice(None)) + cell] = np.diag([1.0, 1.0, a22])
+        with pytest.raises(SingularTensorError) as err:
+            invert_3x3(TensorField(spec, vals))
+        assert err.value.cell == first
+        assert err.value.value == det
+
 
 class TestSolveDivcurl:
     """DivCurlData is a plain record; solve_divcurl certifies its coefficient."""

@@ -1,6 +1,7 @@
 """The row-slab driver (grid._row_slabs) and the kernels that run on it give
-the same bits on one worker and on two: every range writes its own rows, and
-every reduction stays whole on the calling thread."""
+the same bits on one worker and on two: every range writes its own rows, a
+range keeps at most its own rows' maxima, and every sum stays whole on the
+calling thread."""
 
 import json
 import sys
@@ -14,19 +15,44 @@ import pytest
 import semigeo.grid
 from semigeo.cli import main
 from semigeo.coriolis import coriolis_transport_data, linear_coriolis
-from semigeo.divcurl import apply_operator, reduce_to_darcy, solve_darcy, verify_estimate
+from semigeo.divcurl import (
+    _matvec,
+    apply_operator,
+    invert_3x3,
+    reduce_to_darcy,
+    solve_darcy,
+    verify_estimate,
+)
 from semigeo.grid import (
     GridSpec,
     NonFiniteError,
+    TensorField,
     VectorField,
     _jacobian_magnitude,
     _third_derivative_magnitude,
     curl,
     eigmin_symmetric,
+    hessian,
     jacobian,
     lp_norm,
 )
-from semigeo.stepper import init_state
+from semigeo.stepper import _difference_row_maxima, compute_constants, init_state
+
+from conftest import (
+    row_major,
+    row_major_curl,
+    row_major_invert_3x3,
+    row_major_matvec,
+    whole_grid_darcy_rhs,
+    whole_grid_hessian,
+    whole_grid_hoelder_quotient,
+)
+
+# a last 8-row slab of one and of two rows; and five rows in ranges of three
+# and two, so the range boundary falls inside both 4-row one-sided ends of
+# the second difference along axis 0
+GRIDS = pytest.mark.parametrize("dims", [(9, 6, 7), (18, 5, 6), (5, 6, 7)],
+                                ids=["odd-rows", "three-slabs", "split-end-stencil"])
 
 
 def on_main():
@@ -115,9 +141,9 @@ def test_concurrent_callers_share_the_worker(workers):
     assert len(wrong) == 3 * 40 * 2 and not any(wrong)
 
 
-@pytest.mark.parametrize("dims", [(9, 6, 7), (18, 5, 6)], ids=["odd-rows", "three-slabs"])
+@GRIDS
 def test_kernels_do_not_depend_on_workers(dims, workers):
-    # a last slab of one and of two rows, a non-symmetric Coriolis coefficient
+    # a non-symmetric Coriolis coefficient
     spec = GridSpec(dims=dims, extents=(1.0, 1.5, 0.75))
     s = init_state("bump", spec, delta=0.01, k=1)
     d = coriolis_transport_data(s, c=linear_coriolis(spec, 0.05))
@@ -128,13 +154,57 @@ def test_kernels_do_not_depend_on_workers(dims, workers):
     results = []
     for n in (1, 2):
         workers(n)
+        p = reduce_to_darcy(d)
         results.append((apply_operator(p, q), eigmin_symmetric(s.hess.comp),
-                        _third_derivative_magnitude(s.hess), verify_estimate(u, d, 4.0),
-                        verify_estimate(u, d, np.inf)))
+                        _third_derivative_magnitude(s.hess), hessian(s.p).comp,
+                        invert_3x3(d.a).comp, _matvec(d.a, u.comp), curl(u).comp,
+                        p.rhs.values, *p.m_face,
+                        verify_estimate(u, d, 4.0), verify_estimate(u, d, np.inf),
+                        compute_constants(s), compute_constants(s, p=np.inf)))
     one, two = results
-    for a, b in zip(one[:3], two[:3]):
+    for a, b in zip(one[:-4], two[:-4]):
         assert np.array_equal(a, b)
-    assert one[3:] == two[3:]
+    assert one[-4:] == two[-4:]
+
+
+@GRIDS
+@pytest.mark.parametrize("n", [1, 2])
+def test_kernels_match_whole_grid_references(dims, n, workers):
+    # the ranged kernels against the whole-grid formulas, compared with ==
+    workers(n)
+    spec = GridSpec(dims=dims, origin=(0.2, -0.4, 0.1), extents=(1.0, 1.5, 0.75))
+    s = init_state("bump", spec, delta=0.02, k=1)
+    d = coriolis_transport_data(s, c=linear_coriolis(spec, 0.05))
+    assert np.array_equal(hessian(s.p).comp, whole_grid_hessian(s.p))
+    assert np.array_equal(row_major(invert_3x3(d.a)), row_major_invert_3x3(row_major(d.a), False))
+    assert np.array_equal(row_major(VectorField(spec, _matvec(d.a, d.f.comp))),
+                          row_major_matvec(row_major(d.a), row_major(d.f)))
+    assert np.array_equal(row_major(curl(d.f)), row_major_curl(row_major(d.f), spec))
+    p = reduce_to_darcy(d)
+    rhs, m_face = whole_grid_darcy_rhs(p.m, p.mf)
+    assert np.array_equal(p.rhs.values, rhs)
+    assert all(np.array_equal(a, b) for a, b in zip(p.m_face, m_face, strict=True))
+    for lp in (4.0, 6.0):
+        quotient = whole_grid_hoelder_quotient(s.hess, 1.0 - 3.0 / lp)
+        assert compute_constants(s, p=lp).m_star == \
+            lp_norm(s.hess, np.inf) + quotient + s.lambda_min / 6.0
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_quotient_sees_jumps_between_slabs(n, workers):
+    # the largest jump of the tensor lies between rows 7 and 8, the last row
+    # of one 8-row slab and the first of the next
+    workers(n)
+    spec = GridSpec(dims=(18, 5, 6))
+    c = np.random.default_rng(8).standard_normal((3, 3) + spec.dims)
+    c = c + c.swapaxes(0, 1)
+    c[:, :, 8:] += 10.0
+    hess = TensorField(spec, c)
+    row_max = _difference_row_maxima(hess.comp)
+    assert np.isneginf(row_max[0, -1]) and row_max[0].argmax() == 7
+    alpha = 0.25
+    assert max(float(np.max(m)) / spec.spacing[a] ** alpha for a, m in enumerate(row_max)) \
+        == whole_grid_hoelder_quotient(hess, alpha)
 
 
 @pytest.mark.parametrize("p", [4.0, np.inf])

@@ -35,7 +35,7 @@ from semigeo.stepper import (
     transport_data,
 )
 
-from conftest import mean_tilt, row_major
+from conftest import cell_centers_preset, mean_tilt, row_major
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -84,6 +84,20 @@ class TestInitState:
                               base + np.einsum("...a,a->...", x, a))
         assert np.array_equal(preset_potential("quadratic", spec, quad=q),
                               0.5 * np.einsum("...a,ab,...b->...", x, q, x))
+
+    @pytest.mark.parametrize("name, params", [
+        ("identity", {}),
+        ("tilt", {"tilt": (0.13, -0.071, 0.29)}),
+        ("bump", {"delta": 0.013, "k": 1}),
+        ("bump", {"delta": 0.002, "k": 3}),
+        ("bump", {"delta": 7.0, "k": 2}),  # the wave's last bits show in the sum
+    ])
+    def test_separable_presets_match_cell_centers(self, name, params):
+        # built from each axis's coordinates, bit for bit the formulas on the
+        # whole-grid cell_centers()
+        spec = GridSpec(dims=(6, 7, 5), origin=(0.3, -1.1, 0.7), extents=(1.3, 2.0, 0.9))
+        assert np.array_equal(preset_potential(name, spec, **params),
+                              cell_centers_preset(name, spec, **params))
 
     def test_apply_rotation_is_component_major(self):
         v = np.random.default_rng(5).standard_normal((3, 4, 5, 6))
