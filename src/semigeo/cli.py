@@ -366,16 +366,21 @@ def write_series_csv(path, records) -> None:
 def write_structured_points(path, state, u_comp, step) -> None:
     """Legacy VTK structured-points snapshot: P scalar, gradP and u vectors,
     point data at cell centers, x varying fastest.  u_comp is the velocity,
-    component-major (3, nx, ny, nz)."""
+    component-major (3, nx, ny, nz).
+
+    Each block is formatted and written one z-plane at a time, so the text in
+    memory is one plane's, never the file's.
+    """
     spec = state.spec
     h = spec.spacing
     nx, ny, nz = spec.dims
-    n = spec.n_cells
 
-    def flat(values):
-        return values.transpose(2, 1, 0).reshape(-1)
+    def plane(values, k):
+        # x fastest, then y; .tolist() yields Python floats, whose repr is
+        # the bare shortest round-trip
+        return values[:, :, k].T.reshape(-1).tolist()
 
-    lines = [
+    header = [
         "# vtk DataFile Version 3.0",
         f"semigeo fields step {step} time {state.time!r}",
         "ASCII",
@@ -383,19 +388,19 @@ def write_structured_points(path, state, u_comp, step) -> None:
         f"DIMENSIONS {nx} {ny} {nz}",
         "ORIGIN {!r} {!r} {!r}".format(*(spec.origin[a] + 0.5 * h[a] for a in range(3))),
         "SPACING {!r} {!r} {!r}".format(*h),
-        f"POINT_DATA {n}",
+        f"POINT_DATA {spec.n_cells}",
         "SCALARS P double",
         "LOOKUP_TABLE default",
     ]
-    # .tolist() yields Python floats, whose repr is the bare shortest round-trip
-    lines.extend(repr(v) for v in flat(state.p.values).tolist())
-    lines.append("VECTORS gradP double")
-    comps = [flat(c).tolist() for c in state.grad_p.comp]
-    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
-    lines.append("VECTORS u double")
-    comps = [flat(c).tolist() for c in u_comp]
-    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as f:
+        f.write("\n".join(header) + "\n")
+        for k in range(nz):
+            f.write("\n".join(map(repr, plane(state.p.values, k))) + "\n")
+        for name, comp in (("gradP", state.grad_p.comp), ("u", u_comp)):
+            f.write(f"VECTORS {name} double\n")
+            for k in range(nz):
+                xs, ys, zs = (plane(c, k) for c in comp)
+                f.write("\n".join(f"{x!r} {y!r} {z!r}" for x, y, z in zip(xs, ys, zs)) + "\n")
 
 
 def _build_coriolis(cfg, spec):
@@ -508,7 +513,8 @@ def run_experiment(cfg: RunConfig) -> int:
 
         def write_snapshot(j, st, sol):
             if j > 0 and j % cfg.snap_every == 0:
-                u = sol.u.comp if sol is not None else np.zeros((3,) + spec.dims)
+                # the final state has no solve: a zero view, read one plane at a time
+                u = sol.u.comp if sol is not None else np.broadcast_to(0.0, (3,) + spec.dims)
                 write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j)
 
         result = run(state, scheme, constants=constants, model=model,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semigeo.grid
+from semigeo.coriolis import PerturbationError
 from semigeo.divcurl import _matvec, apply_operator, invert_3x3
 from semigeo.grid import (
     ScalarField,
@@ -10,6 +11,7 @@ from semigeo.grid import (
     diff,
     diff2,
     diff_shifted,
+    eigmin_symmetric,
     gradient_values,
     sum_of_squares,
 )
@@ -339,3 +341,71 @@ def row_major_bbox(t):
     flat = t.reshape(-1, 3)
     return (tuple(float(v) for v in flat.min(axis=0)),
             tuple(float(v) for v in flat.max(axis=0)))
+
+
+# Whole-file and whole-grid references: the snapshot writer as it built the
+# whole file's text before writing it, and the Coriolis dominance test as it
+# scanned every cell's eigenvalue, kept to check that the plane-by-plane
+# writer writes the same bytes and the candidate scan raises the same error.
+
+
+def joined_vtk_text(state, u_comp, step):
+    """The text of a structured-points snapshot, every line joined at once."""
+    spec = state.spec
+    h = spec.spacing
+    nx, ny, nz = spec.dims
+
+    def flat(values):
+        return values.transpose(2, 1, 0).reshape(-1)
+
+    lines = [
+        "# vtk DataFile Version 3.0",
+        f"semigeo fields step {step} time {state.time!r}",
+        "ASCII",
+        "DATASET STRUCTURED_POINTS",
+        f"DIMENSIONS {nx} {ny} {nz}",
+        "ORIGIN {!r} {!r} {!r}".format(*(spec.origin[a] + 0.5 * h[a] for a in range(3))),
+        "SPACING {!r} {!r} {!r}".format(*h),
+        f"POINT_DATA {spec.n_cells}",
+        "SCALARS P double",
+        "LOOKUP_TABLE default",
+    ]
+    lines.extend(repr(v) for v in flat(state.p.values).tolist())
+    lines.append("VECTORS gradP double")
+    comps = [flat(c).tolist() for c in state.grad_p.comp]
+    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
+    lines.append("VECTORS u double")
+    comps = [flat(c).tolist() for c in u_comp]
+    lines.extend(f"{x!r} {y!r} {z!r}" for x, y, z in zip(*comps))
+    return "\n".join(lines) + "\n"
+
+
+def coriolis_perturbation_norm(s, c):
+    """Per-cell spectral norm of the rank-one Coriolis term, as
+    assemble_coriolis_coefficient computes it."""
+    f = c.f.values
+    kf = np.stack([f, f, np.ones_like(f)])
+    return (np.sqrt(sum_of_squares(list(kf * s.grad_p.comp)))
+            * np.sqrt(sum_of_squares(list(c.grad_f.comp))) / f**2)
+
+
+def full_scan_coriolis_coefficient(s, c):
+    """assemble_coriolis_coefficient with every cell's smallest Hessian
+    eigenvalue scanned: the perturbed coefficient, or the PerturbationError
+    of the worst cell, the first in C order among ties."""
+    f = c.f.values
+    gp = s.grad_p.comp
+    gf = c.grad_f.comp
+    kf = np.stack([f, f, np.ones_like(f)])
+    term = kf[:, None] * (gp[:, None] * gf[None, :]) / (f * f)
+    norm = coriolis_perturbation_norm(s, c)
+    local_lambda = eigmin_symmetric(s.hess.comp)
+    bad = norm >= 0.5 * local_lambda
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmax(norm - 0.5 * local_lambda)), bad.shape)
+        raise PerturbationError(
+            f"Coriolis perturbation {float(norm[idx]):.3e} exceeds half the convexity "
+            f"modulus {float(local_lambda[idx]):.3e} at cell {tuple(int(i) for i in idx)}",
+            cell=tuple(int(i) for i in idx),
+        )
+    return TensorField(s.spec, s.hess.comp - term)

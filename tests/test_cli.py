@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 import semigeo.cli
-from semigeo.cli import CSV_COLUMNS, UsageError, main, parse_config
+from semigeo.cli import CSV_COLUMNS, UsageError, main, parse_config, write_structured_points
 from semigeo.diagnostics import emit_record
 from semigeo.divcurl import verify_estimate
 from semigeo.grid import GridSpec
 from semigeo.stepper import SchemeConfig, compute_constants, init_state, run, step
+
+from conftest import joined_vtk_text
 
 
 def vtk_block(text, header, count):
@@ -217,6 +219,25 @@ class TestRunExperiment:
         assert np.max(np.abs(want)) > 0.0
         text = (out / "fields_0004.vtk").read_text().splitlines()
         assert np.all(vtk_block(text, "VECTORS u double", 6 ** 3) == 0.0)
+
+    def test_snapshot_bytes_equal_joined_text(self, tmp_path):
+        # a non-cubic grid, so that no swapped axis passes, and a solved, nonzero u
+        spec = GridSpec(dims=(7, 5, 6), extents=(1.0, 0.8, 1.2))
+        s, _, _ = step(init_state("bump", spec, delta=0.01, k=1), 0.01)
+        _, sol, _ = step(s, 0.01)
+        assert np.max(np.abs(sol.u.comp)) > 0.0
+        write_structured_points(tmp_path / "bump.vtk", s, sol.u.comp, 1)
+        want = joined_vtk_text(s, sol.u.comp, 1).encode()
+        assert (tmp_path / "bump.vtk").read_bytes() == want
+
+    def test_zero_velocity_snapshot_bytes_equal_joined_text(self, tmp_path):
+        # a run's final state has no solve: its velocity is a broadcast zero view
+        spec = GridSpec(dims=(7, 5, 6))
+        s = init_state("identity", spec)
+        u = np.broadcast_to(0.0, (3,) + spec.dims)
+        write_structured_points(tmp_path / "identity.vtk", s, u, 4)
+        want = joined_vtk_text(s, np.zeros((3,) + spec.dims), 4).encode()
+        assert (tmp_path / "identity.vtk").read_bytes() == want
 
     def test_metadata_round_trip(self, tmp_path):
         out = run_dir(tmp_path, "meta",
@@ -520,8 +541,8 @@ class TestPinnedHeap:
 
 
 class TestMemoryBound:
-    """The transient memory of a step, a record and the scheme constants,
-    counted by tracemalloc in whole-grid float64 arrays on the 32^3 bump.
+    """The transient memory of a step, a record, the scheme constants and a
+    snapshot, counted by tracemalloc in whole-grid float64 arrays on the 32^3 bump.
     numpy reports its buffers to tracemalloc, so the count does not depend on
     the C library or on where the heap places arrays.  Each bound is the
     current peak rounded up to the next whole grid."""
@@ -553,3 +574,11 @@ class TestMemoryBound:
         s = init_state("bump", self.SPEC, delta=0.01, k=1)
         _, grids = self.peak_grids(lambda: compute_constants(s))
         assert grids <= 10
+
+    def test_snapshot_peak(self, tmp_path):
+        # written one z-plane at a time: the text of one plane, not of the file
+        s = init_state("bump", self.SPEC, delta=0.01, k=1)
+        _, sol, _ = step(s, 0.001)
+        _, grids = self.peak_grids(
+            lambda: write_structured_points(tmp_path / "fields.vtk", s, sol.u.comp, 1))
+        assert grids <= 2

@@ -13,10 +13,16 @@ from semigeo.coriolis import (
     step_coriolis,
 )
 from semigeo.divcurl import apply_operator, reduce_to_darcy
-from semigeo.grid import GridSpec, ScalarField
+from semigeo.grid import GridSpec, ScalarField, eigmin_symmetric
 from semigeo.stepper import SchemeConfig, init_state, run, step
 
-from conftest import kf_inverse, mean_tilt, per_cell
+from conftest import (
+    coriolis_perturbation_norm,
+    full_scan_coriolis_coefficient,
+    kf_inverse,
+    mean_tilt,
+    per_cell,
+)
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -25,6 +31,22 @@ def make_spec(n):
     if isinstance(n, int):
         n = (n, n, n)
     return GridSpec(dims=n)
+
+
+def same_as_full_scan(s, c):
+    """Assert that assemble_coriolis_coefficient returns the full scan's
+    coefficient, or raises its error (same message and cell); return that
+    error, or None."""
+    try:
+        want = full_scan_coriolis_coefficient(s, c)
+    except PerturbationError as err:
+        with pytest.raises(PerturbationError) as got:
+            assemble_coriolis_coefficient(s, c)
+        assert str(got.value) == str(err)
+        assert got.value.cell == err.cell
+        return err
+    assert np.array_equal(assemble_coriolis_coefficient(s, c).comp, want.comp)
+    return None
 
 
 class TestCoriolisField:
@@ -109,6 +131,35 @@ class TestAssembleCoefficient:
         with pytest.raises(PerturbationError) as err:
             assemble_coriolis_coefficient(s, c)
         assert err.value.cell is not None
+        assert same_as_full_scan(s, c) is not None
+
+
+class TestDominanceCandidates:
+    """assemble_coriolis_coefficient scans the eigenvalues of only the cells
+    whose perturbation reaches half the state's lambda_min; the full scan of
+    every cell is the reference."""
+
+    @pytest.mark.parametrize("slope, fails", [(0.18, False), (0.19, True)])
+    def test_candidates_near_the_threshold(self, slope, fails):
+        # the bump's modulus varies, so a cell can reach half the smallest
+        # one and stay under half its own (0.18), or just pass it (0.19)
+        spec = make_spec(8)
+        s = init_state("bump", spec, delta=0.05, k=1)
+        c = linear_coriolis(spec, slope)
+        norm = coriolis_perturbation_norm(s, c)
+        assert np.any(norm >= 0.5 * s.lambda_min)
+        assert np.max(norm) < 0.6 * s.lambda_min
+        assert (same_as_full_scan(s, c) is not None) == fails
+
+    def test_tied_worst_cells_report_the_first(self):
+        # centred on the origin, |x1| and |x2| repeat exactly across the grid:
+        # four cells share the worst excess, and C order picks (0, 0, 0)
+        spec = GridSpec(dims=(8, 8, 8), origin=(-0.5, -0.5, -0.5))
+        s = init_state("identity", spec)
+        c = make_coriolis_field(ScalarField(spec, 1.2 + 2.0 * spec.cell_centers()[2]))
+        excess = coriolis_perturbation_norm(s, c) - 0.5 * eigmin_symmetric(s.hess.comp)
+        assert np.count_nonzero(excess == np.max(excess)) >= 2
+        assert same_as_full_scan(s, c).cell == (0, 0, 0)
 
 
 class TestStepCoriolis:
