@@ -87,8 +87,8 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
     per cell, the symmetric part of D2P - T has smallest eigenvalue above
     lambda_min(D2P)/2 > 0 (Weyl).
 
-    s.lambda_min is the minimum of the same per-cell eigenvalues, so a cell
-    with |T| < s.lambda_min / 2 passes; only the others are scanned.
+    s.lambda_min is the minimum of the same per-cell eigenvalues, so the scan
+    runs only when some cell has |T| >= s.lambda_min / 2.
     """
     if s.spec.dims != c.spec.dims:
         raise ValueError("state and Coriolis field live on different grids")
@@ -100,21 +100,16 @@ def assemble_coriolis_coefficient(s: GeopotentialState, c: CoriolisField) -> Ten
     # spectral norm per cell
     term = kf[:, None] * (gp[:, None] * gf[None, :]) / (f * f)
     norm = np.sqrt(sum_of_squares(list(kf * gp))) * np.sqrt(sum_of_squares(list(gf))) / f**2
-    # every cell outside the candidates has a strictly negative excess
-    # norm - local / 2, and a gather keeps C order: the worst cell, and the
-    # first of tied ones, are those of a scan of every cell
-    candidates = np.flatnonzero(norm >= 0.5 * s.lambda_min)
-    if candidates.size:
-        cand_norm = norm.reshape(-1)[candidates]
-        local_lambda = eigmin_symmetric(s.hess.comp.reshape(3, 3, -1)[:, :, candidates])
-        bad = cand_norm >= 0.5 * local_lambda
+    # cells below s.lambda_min / 2 cannot fail: 0.5 * local >= 0.5 * s.lambda_min
+    if np.any(norm >= 0.5 * s.lambda_min):
+        local_lambda = eigmin_symmetric(s.hess.comp)
+        bad = norm >= 0.5 * local_lambda
         if np.any(bad):
-            worst = int(np.argmax(cand_norm - 0.5 * local_lambda))
-            cell = tuple(int(i) for i in np.unravel_index(candidates[worst], norm.shape))
+            idx = np.unravel_index(int(np.argmax(norm - 0.5 * local_lambda)), bad.shape)
             raise PerturbationError(
-                f"Coriolis perturbation {float(cand_norm[worst]):.3e} exceeds half the "
-                f"convexity modulus {float(local_lambda[worst]):.3e} at cell {cell}",
-                cell=cell,
+                f"Coriolis perturbation {float(norm[idx]):.3e} exceeds half the convexity "
+                f"modulus {float(local_lambda[idx]):.3e} at cell {tuple(int(i) for i in idx)}",
+                cell=tuple(int(i) for i in idx),
             )
     return TensorField(s.spec, s.hess.comp - term)
 

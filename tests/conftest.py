@@ -346,7 +346,7 @@ def row_major_bbox(t):
 # Whole-file and whole-grid references: the snapshot writer as it built the
 # whole file's text before writing it, and the Coriolis dominance test as it
 # scanned every cell's eigenvalue, kept to check that the plane-by-plane
-# writer writes the same bytes and the candidate scan raises the same error.
+# writer writes the same bytes and the guarded scan raises the same error.
 
 
 def joined_vtk_text(state, u_comp, step):

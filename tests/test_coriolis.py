@@ -135,9 +135,9 @@ class TestAssembleCoefficient:
 
 
 class TestDominanceCandidates:
-    """assemble_coriolis_coefficient scans the eigenvalues of only the cells
-    whose perturbation reaches half the state's lambda_min; the full scan of
-    every cell is the reference."""
+    """assemble_coriolis_coefficient scans the eigenvalues only when some
+    cell's perturbation reaches half the state's lambda_min; the unguarded
+    scan of every cell is the reference."""
 
     @pytest.mark.parametrize("slope, fails", [(0.18, False), (0.19, True)])
     def test_candidates_near_the_threshold(self, slope, fails):

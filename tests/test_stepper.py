@@ -229,8 +229,8 @@ class TestStep:
 class TestCertifiedOnce:
     """Each model's coefficient is certified where it is born: the base model
     by the state's own eigenvalue scan, the Coriolis model by its dominance
-    test, which scans only the cells whose perturbation reaches half the
-    state's smallest eigenvalue (none on this field); the solve adds none."""
+    test, which scans only when some cell's perturbation reaches half the
+    state's smallest eigenvalue (none does on this field); the solve adds none."""
 
     @pytest.mark.parametrize("coriolis, scans", [(False, 1), (True, 1)])
     def test_eigenvalue_scans_per_step(self, monkeypatch, coriolis, scans):
