@@ -471,9 +471,10 @@ def run_experiment(cfg: RunConfig) -> int:
 
     Returns the process exit status: nonzero only for a halt before the
     horizon when strict mode is on.  Raises UsageError, before any artifact
-    is written, for a preset or Coriolis field the grid rejects, or an
-    auto-tau horizon that is not positive and finite.  numpy's floating-point
-    warnings are off: a non-finite value ends as a usage error or a halt.
+    is written, for a preset or Coriolis field the grid rejects, an auto-tau
+    horizon that is not positive and finite, or a horizon whose step count
+    is not finite.  numpy's floating-point warnings are off: a non-finite
+    value ends as a usage error or a halt.
     """
     with _pinned_heap(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
@@ -500,7 +501,7 @@ def run_experiment(cfg: RunConfig) -> int:
         try:
             scheme.schedule(constants)
         except ValueError as err:
-            raise UsageError([f"auto-tau: {err}"]) from err
+            raise UsageError([f"{'auto-tau' if cfg.auto_tau else 'tmax'}: {err}"]) from err
         # passed even when it is run()'s default: a default argument is bound once,
         # when run is defined, so a profiler that rebinds transport_data would miss it
         model = transport_data if field is None else partial(coriolis_transport_data, c=field)

@@ -39,8 +39,9 @@ __all__ = [
 class GridSpec:
     """Uniform cell-centered grid over an axis-aligned box.
 
-    dims are cells per axis; spacing is extents/dims.  Operators up to third
-    derivatives need a 4-point interior, hence dims >= 4 per axis.
+    dims are cells per axis; spacing is extents/dims.  dims >= 4 per axis,
+    since the one-sided ends of diff2 read four cells; sobolev_norm's third
+    derivatives need 5, and so do compute_constants and a CLI run.
     """
 
     dims: tuple[int, int, int]

@@ -322,7 +322,8 @@ class SchemeConfig:
 
     def schedule(self, constants: SchemeConstants) -> tuple[float, int]:
         """The step size and step count; auto_horizon derives the horizon
-        tau_star from constants, which must be positive and finite."""
+        tau_star from constants, which must be positive and finite, and so
+        must a step count derived from a horizon."""
         horizon = self.horizon
         if self.auto_horizon:
             horizon = constants.tau_star
@@ -331,7 +332,10 @@ class SchemeConfig:
         if self.epsilon is not None and self.n_steps is not None:
             return self.epsilon, self.n_steps
         if self.epsilon is not None:
-            return self.epsilon, max(1, math.ceil(horizon / self.epsilon - 1e-12))
+            steps = horizon / self.epsilon - 1e-12
+            if not math.isfinite(steps):
+                raise ValueError(f"step count {horizon!r} / {self.epsilon!r} is not finite")
+            return self.epsilon, max(1, math.ceil(steps))
         return horizon / self.n_steps, self.n_steps
 
 

@@ -395,6 +395,18 @@ class TestRunExperiment:
             "error: auto-tau: tau_star must be positive and finite, got 0.0"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("inputs, key", [
+        ("--preset identity --tmax 1e300 --dt 1e-300", "tmax"),
+        ("--preset bump --auto-tau --dt 1e-320", "auto-tau"),  # tau* / a subnormal step
+    ], ids=["tmax", "auto-tau"])
+    def test_infinite_step_count_is_usage_error(self, tmp_path, capsys, inputs, key):
+        out = tmp_path / "out"
+        assert main(inputs.split() + ["--grid", "5", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {key}: step count ")
+        assert err[0].endswith(" is not finite")
+        assert not out.exists()
+
     def test_strict_flags_early_halt(self, tmp_path):
         # this quadratic run hits the convexity floor before tmax
         argv = ["--grid", "8", "--preset", "quadratic", "--quad", "2,1,0.5",

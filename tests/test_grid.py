@@ -286,7 +286,7 @@ class TestNorms:
 
     def test_rejects_bad_p(self):
         spec = make_spec(4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="p must be >= 1 or inf"):
             lp_norm(ScalarField(spec, np.ones(spec.dims)), 0.5)
 
 

@@ -464,6 +464,15 @@ class TestSchemeConfig:
         res = run(s, SchemeConfig(epsilon=0.01, horizon=0.05))
         assert res.n_steps == 5
 
+    def test_infinite_step_count_rejected(self):
+        # horizon / epsilon overflows; math.ceil of it would raise OverflowError
+        s = init_state("identity", make_spec(6))
+        config = SchemeConfig(epsilon=1e-300, horizon=1e300)
+        with pytest.raises(ValueError, match=r"step count .* is not finite"):
+            config.schedule(compute_constants(s))
+        with pytest.raises(ValueError, match=r"step count .* is not finite"):
+            run(s, config)
+
     @pytest.mark.parametrize("tau_star", [0.0, -1.0, np.inf, np.nan])
     def test_degenerate_auto_horizon_rejected(self, tau_star):
         # a derived horizon is held to the rule of a given one, and finite too
