@@ -15,9 +15,8 @@ import math
 import shlex
 import sys
 import warnings
-from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -58,38 +57,6 @@ class UsageError(ValueError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    dims: tuple = (16, 16, 16)
-    extents: tuple = (1.0, 1.0, 1.0)
-    origin: tuple = (0.0, 0.0, 0.0)
-    preset: str = "identity"
-    tilt: tuple | None = None
-    quad: tuple | None = None
-    bump_delta: float = 0.01
-    bump_k: int = 1
-    dt: float | None = None
-    steps: int | None = None
-    tmax: float | None = None
-    auto_tau: bool = False
-    strict: bool = False
-    p: float = 4.0  # inf selects the L^inf norm
-    c_star: float = 1.0
-    c_m: float = 1.0
-    tol: float = 1e-10
-    maxiter: int | None = None
-    out_dir: str = "out"
-    snap_every: int = 10
-    log_every: int = 1
-    emit: tuple = ("csv",)  # the artifacts to write, in _ARTIFACTS order
-    coriolis: tuple = ("off", None)  # off, const F0, profile DELTA or file PATH
-
-    def key_values(self) -> dict:
-        """Flat key=value echo that parse_config accepts back."""
-        return {key: k.echo(getattr(self, k.field)) for key, k in _KEYS.items()
-                if getattr(self, k.field) is not None}
 
 
 # Parsers take (key, text, violations).  Each returns the key's value, or None
@@ -207,39 +174,54 @@ def _echo(value) -> str:
     return str(value)
 
 
-# Every configuration key with its RunConfig field, its parser and its echo,
-# in the order parse_config reports violations.
-_Key = namedtuple("_Key", "field parse echo", defaults=[_echo])
-_KEYS = {
+def _key(key, default, parse, echo=_echo):
+    """A RunConfig field that carries its configuration key, parser and echo."""
+    return field(default=default, metadata={"key": key, "parse": parse, "echo": echo})
+
+
+# The fields' order is the order parse_config reports violations in.
+@dataclass(frozen=True)
+class RunConfig:
     # the W^{3,p} norm behind the scheme constants needs 5 cells per axis
-    "grid": _Key("dims", _checked(_grid, lambda d: min(d) >= 5, "dims must be >= 5 per axis")),
-    "extent": _Key("extents", _checked(_triple, lambda e: min(e) > 0,
-                                       "components must be positive")),
-    "origin": _Key("origin", _triple),
-    "preset": _Key("preset", _preset),
-    "tilt": _Key("tilt", _triple),
-    "quad": _Key("quad", _checked(_triple, lambda q: min(q) > 0,
-                                  "diagonal entries must be positive")),
-    "bump-delta": _Key("bump_delta", _number),
-    "bump-k": _Key("bump_k", _count),
-    "dt": _Key("dt", _positive),
-    "steps": _Key("steps", _count),
-    "tmax": _Key("tmax", _positive),
-    "auto-tau": _Key("auto_tau", _boolean),
-    "strict": _Key("strict", _boolean),
-    "p": _Key("p", _checked(partial(_number, infinite=True), lambda p: p > 3.0,
-                            "Lebesgue exponent must exceed 3")),
-    "cstar": _Key("c_star", _positive),
-    "cm": _Key("c_m", _positive),
-    "tol": _Key("tol", _positive),
-    "maxiter": _Key("maxiter", _count),
-    "out": _Key("out_dir", lambda key, text, violations: text),
-    "snap-every": _Key("snap_every", _count),
-    "log-every": _Key("log_every", _count),
-    "emit": _Key("emit", _emit),
-    "coriolis": _Key("coriolis", _coriolis,
-                     lambda c: c[0] if c[1] is None else f"{c[0]}:{c[1]}"),
-}
+    dims: tuple = _key("grid", (16, 16, 16),
+                       _checked(_grid, lambda d: min(d) >= 5, "dims must be >= 5 per axis"))
+    extents: tuple = _key("extent", (1.0, 1.0, 1.0),
+                          _checked(_triple, lambda e: min(e) > 0, "components must be positive"))
+    origin: tuple = _key("origin", (0.0, 0.0, 0.0), _triple)
+    preset: str = _key("preset", "identity", _preset)
+    tilt: tuple | None = _key("tilt", None, _triple)
+    quad: tuple | None = _key("quad", None, _checked(_triple, lambda q: min(q) > 0,
+                                                     "diagonal entries must be positive"))
+    bump_delta: float = _key("bump-delta", 0.01, _number)
+    bump_k: int = _key("bump-k", 1, _count)
+    dt: float | None = _key("dt", None, _positive)
+    steps: int | None = _key("steps", None, _count)
+    tmax: float | None = _key("tmax", None, _positive)
+    auto_tau: bool = _key("auto-tau", False, _boolean)
+    strict: bool = _key("strict", False, _boolean)
+    # inf selects the L^inf norm
+    p: float = _key("p", 4.0, _checked(partial(_number, infinite=True), lambda p: p > 3.0,
+                                       "Lebesgue exponent must exceed 3"))
+    c_star: float = _key("cstar", 1.0, _positive)
+    c_m: float = _key("cm", 1.0, _positive)
+    tol: float = _key("tol", 1e-10, _positive)
+    maxiter: int | None = _key("maxiter", None, _count)
+    out_dir: str = _key("out", "out", lambda key, text, violations: text)
+    snap_every: int = _key("snap-every", 10, _count)
+    log_every: int = _key("log-every", 1, _count)
+    emit: tuple = _key("emit", ("csv",), _emit)  # the artifacts to write, in _ARTIFACTS order
+    # off, const F0, profile DELTA or file PATH
+    coriolis: tuple = _key("coriolis", ("off", None), _coriolis,
+                           lambda c: c[0] if c[1] is None else f"{c[0]}:{c[1]}")
+
+    def key_values(self) -> dict:
+        """Flat key=value echo that parse_config accepts back."""
+        return {f.metadata["key"]: f.metadata["echo"](getattr(self, f.name))
+                for f in fields(self) if getattr(self, f.name) is not None}
+
+
+# each configuration key with its RunConfig field, in the fields' order
+_KEYS = {f.metadata["key"]: f for f in fields(RunConfig)}
 
 
 def _flags_to_dict(argv, violations) -> dict:
@@ -257,7 +239,7 @@ def _flags_to_dict(argv, violations) -> dict:
             i += 1
         else:
             key = body
-            if key in _KEYS and _KEYS[key].parse is _boolean:
+            if key in _KEYS and _KEYS[key].metadata["parse"] is _boolean:
                 # bare flag means true; an explicit true/false may follow
                 nxt = argv[i + 1].lower() if i + 1 < len(argv) else ""
                 if nxt in _BOOLEANS:
@@ -322,11 +304,11 @@ def parse_config(argv) -> RunConfig:
     kv.update(flags)
 
     parsed = {}
-    for key, k in _KEYS.items():
+    for key, f in _KEYS.items():
         if key in kv:
-            value = k.parse(key, kv[key], violations)
+            value = f.metadata["parse"](key, kv[key], violations)
             if value is not None:
-                parsed[k.field] = value
+                parsed[f.name] = value
     cfg = RunConfig(**parsed)
 
     # the time schedule must be exactly determined
@@ -471,10 +453,11 @@ def run_experiment(cfg: RunConfig) -> int:
 
     Returns the process exit status: nonzero only for a halt before the
     horizon when strict mode is on.  Raises UsageError, before any artifact
-    is written, for a preset or Coriolis field the grid rejects, an auto-tau
-    horizon that is not positive and finite, or a horizon whose step count
-    is not finite.  numpy's floating-point warnings are off: a non-finite
-    value ends as a usage error or a halt.
+    is written, for a preset, scheme constants or Coriolis field the grid
+    rejects, a grid too large for memory, an auto-tau horizon that is not
+    positive and finite, or a horizon whose step count is not finite.
+    numpy's floating-point warnings are off: a non-finite value ends as a
+    usage error or a halt.
     """
     with _pinned_heap(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
@@ -486,10 +469,14 @@ def run_experiment(cfg: RunConfig) -> int:
             constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
         except ValueError as err:
             violations.append(f"preset: {err}")
+        except MemoryError as err:
+            raise UsageError([f"grid: out of memory: {err}"]) from err
         try:
-            field = _build_coriolis(cfg, spec)
+            c = _build_coriolis(cfg, spec)
         except (OSError, ValueError) as err:
             violations.append(f"coriolis: {err}")
+        except MemoryError as err:
+            raise UsageError([f"grid: out of memory: {err}"]) from err
         if violations:
             raise UsageError(violations)
 
@@ -504,7 +491,7 @@ def run_experiment(cfg: RunConfig) -> int:
             raise UsageError([f"{'auto-tau' if cfg.auto_tau else 'tmax'}: {err}"]) from err
         # passed even when it is run()'s default: a default argument is bound once,
         # when run is defined, so a profiler that rebinds transport_data would miss it
-        model = transport_data if field is None else partial(coriolis_transport_data, c=field)
+        model = transport_data if c is None else partial(coriolis_transport_data, c=c)
 
         out = Path(cfg.out_dir)
         try:

@@ -192,6 +192,8 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
     the W^{3,p} size of the rotation field J x, in closed form: the stencils are
     exact on (x1^2 + x2^2)/2, whose Hessian is diag(1, 1, 0) and whose third
     derivatives vanish, so omega = |J x|_p + sqrt(2) |domain|^{1/p}.
+    Raises ValueError when omega, m_star, kappa or tau_star is not finite; an
+    infinite norm_w3p0 is left to the step-0 record, which halts on it.
     """
     if p <= 3.0:
         raise ValueError(f"Lebesgue exponent must exceed 3, got {p}")
@@ -212,6 +214,11 @@ def compute_constants(s: GeopotentialState, p: float = 4.0, c_star: float = 1.0,
 
     kappa = (omega + 2.0 * c_star * volume_term) / (1.0 + 2.0 * c_star)
     tau_star = math.log1p(s.lambda_min / (6.0 * c_m * (kappa + grad_norm))) / (1.0 + 2.0 * c_star)
+    named = {"omega": omega, "m_star": m_star, "kappa": kappa, "tau_star": tau_star}
+    bad = [f"{name} {value!r}" for name, value in named.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"scheme constants {', '.join(bad)} are not finite "
+                         f"(p {p!r}, c_star {c_star!r}, c_m {c_m!r})")
     return SchemeConstants(
         lambda0=s.lambda_min, omega=omega, m_star=m_star, c_star=c_star,
         c_m=c_m, kappa=kappa, tau_star=tau_star, p=p, norm_w3p0=grad_norm,
@@ -357,10 +364,10 @@ def run(s0: GeopotentialState, config: SchemeConfig,
 
     constants, when given, must be those of s0 (compute_constants(s0, ...)):
     the step-0 record takes its W^{3,p} norm from them.  Early halts
-    (convexity floor, an EllipticityError, solver failure, non-finite values)
-    are structured outcomes recorded in halt_reason, not exceptions.  The model
-    (see step) is assembled once per step; on recorded steps its data is
-    reused for the estimate ratios.  Only the current state is kept:
+    (convexity floor, an EllipticityError, solver failure, non-finite values,
+    a MemoryError) are structured outcomes recorded in halt_reason, not
+    exceptions.  The model (see step) is assembled once per step; on recorded
+    steps its data is reused for the estimate ratios.  Only the current state is kept:
     observe(j, state, sol) is called once for every state reached, with the
     solve taken from that state, or None when no solve followed it.
     """
@@ -395,6 +402,8 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         halt_reason = f"solver failed at step {at}: {err}"
     except NonFiniteError as err:
         halt_reason = f"non-finite values at step {at}: {err}"
+    except MemoryError as err:
+        halt_reason = f"out of memory at step {at}: {err}"
     if observe is not None:
         observe(j, state, None)
     return RunResult(

@@ -1,15 +1,25 @@
 import ctypes
 import json
+import random
 import re
 import resource
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semigeo.cli
-from semigeo.cli import CSV_COLUMNS, UsageError, main, parse_config, write_structured_points
+import semigeo.stepper
+from semigeo.cli import (
+    CSV_COLUMNS,
+    RunConfig,
+    UsageError,
+    main,
+    parse_config,
+    write_structured_points,
+)
 from semigeo.diagnostics import emit_record
 from semigeo.divcurl import verify_estimate
 from semigeo.grid import GridSpec
@@ -117,6 +127,13 @@ class TestParseConfig:
         assert err.value.violations == [f"{cfile}:4: key 'grid' given twice",
                                         f"{cfile}:5: unknown key 'wibble'"]
 
+    def test_each_field_has_one_key(self):
+        # _KEYS is derived from the fields: a shared key would drop a field from it
+        keys = [f.metadata["key"] for f in fields(RunConfig)]
+        assert len(set(keys)) == len(keys)
+        assert [(key, f.name) for key, f in semigeo.cli._KEYS.items()] == [
+            (f.metadata["key"], f.name) for f in fields(RunConfig)]
+
     def test_p_inf_selects_linf(self):
         assert parse_config(["--p", "inf", "--dt", "0.01", "--steps", "1"]).p == np.inf
 
@@ -143,6 +160,53 @@ class TestParseConfig:
         base = ["--dt", "0.01", "--steps", "1"]
         assert parse_config(base + [f"--strict={word}"]).strict is value
         assert parse_config(["--strict", word] + base).strict is value
+
+
+# extreme values for the inputs that feed the scheme constants, the schedule,
+# the solve and the grid; each sweep case sets one of them and one more at random
+EXTREMES = {
+    "cstar": ["1e308", "1e300", "1e-300"],
+    "cm": ["1e-320", "5e-324", "1e300"],
+    "p": ["inf", "3.0000001", "2000", "1e308"],
+    "dt": ["1e100", "1e-300", "5e-324", "1"],
+    "tol": ["1e-300", "0.5", "1e300"],
+    "maxiter": ["1", "2", "10000"],
+    "extent": ["1e-200,1,1", "1e300,1e300,1e300", "1e-300,1e-300,1e-300", "1e-5,1e5,1"],
+    "origin": ["1e300,0,0", "-1e308,0,1e308", "-1e300,-1e300,-1e300", "1e-320,0,0"],
+    "tilt": ["1e300,0,0", "-1e-300,1,1", "0,0,0"],
+    "coriolis": ["const:1e-300", "const:1e300", "profile:1e300", "profile:-1e-300",
+                 "profile:0.3"],
+}
+SWEEP = [(key, value) for key, values in EXTREMES.items() for value in values]
+
+
+def sweep_case(seed):
+    """CLI inputs of the seeded sweep case: a 5^3 or 6^3 grid, at most 10 steps."""
+    rng = random.Random(seed)
+    key, value = SWEEP[seed]
+    other = rng.choice([k for k in EXTREMES if k != key])
+    args = {key: value, other: rng.choice(EXTREMES[other]),
+            "grid": rng.choice(["5", "6"]), "steps": str(rng.randint(1, 10)),
+            "preset": "tilt" if "tilt" in (key, other) else rng.choice(["identity", "bump"])}
+    args.setdefault("dt", "0.01")
+    return [word for k, v in args.items() for word in (f"--{k}", v)]
+
+
+@pytest.mark.parametrize("seed", range(len(SWEEP)),
+                         ids=[" ".join(sweep_case(seed)[:4]) for seed in range(len(SWEEP))])
+def test_cli_input_sweep(tmp_path, capsys, seed):
+    """No input ends in a traceback: a run exits 0 or 1 with finite scheme
+    constants (p may be inf), or exits 2 with only error: lines and no run.json."""
+    out = tmp_path / "out"
+    status = main(sweep_case(seed) + ["--out", str(out)])
+    assert status in (0, 1, 2)
+    assert all(line.startswith("error: ") for line in capsys.readouterr().err.splitlines())
+    if status == 2:
+        assert not (out / "run.json").exists()
+        return
+    constants = json.loads((out / "run.json").read_text())["constants"]
+    del constants["p"]
+    assert all(np.isfinite(v) for v in constants.values()), constants
 
 
 def run_dir(tmp_path, name, extra):
@@ -394,6 +458,60 @@ class TestRunExperiment:
         assert capsys.readouterr().err.splitlines() == [
             "error: auto-tau: tau_star must be positive and finite, got 0.0"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("inputs, named", [
+        ("--cstar 1e308",
+         "kappa nan, tau_star nan are not finite (p 4.0, c_star 1e+308, c_m 1.0)"),
+        ("--cm 1e-320", "tau_star inf are not finite (p 4.0, c_star 1.0, c_m 1e-320)"),
+    ], ids=["cstar", "cm"])
+    def test_non_finite_constants_are_usage_error(self, tmp_path, capsys, inputs, named):
+        out = tmp_path / "out"
+        assert main(inputs.split() + ["--grid", "6", "--preset", "bump", "--dt", "0.01",
+                                      "--steps", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: preset: scheme constants {named}"]
+        assert not out.exists()
+
+    # an allocation that fails during set-up; the grid would have to be huge
+    @pytest.mark.parametrize("module, name, inputs", [
+        (semigeo.stepper, "preset_potential", []),  # init_state
+        (semigeo.stepper, "cell_magnitude", []),  # compute_constants
+        (semigeo.cli, "linear_coriolis", ["--coriolis", "profile:0.05"]),
+    ], ids=["init-state", "constants", "coriolis"])
+    def test_out_of_memory_in_set_up_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                    module, name, inputs):
+        def allocate(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(module, name, allocate)
+        out = tmp_path / "out"
+        assert main(inputs + ["--grid", "6", "--dt", "0.01", "--steps", "2",
+                              "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid: out of memory: Unable to allocate 74.5 GiB"]
+        assert not out.exists()
+
+    # the second call of a step's solve (step 2) or of a record (step 1) fails to allocate
+    @pytest.mark.parametrize("name, halt_step", [("solve_darcy", 2), ("emit_record", 1)])
+    def test_out_of_memory_in_a_run_is_a_halt(self, tmp_path, monkeypatch, name, halt_step):
+        calls = []
+        original = getattr(semigeo.stepper, name)
+
+        def allocate(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 74.5 GiB")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(semigeo.stepper, name, allocate)
+        out = tmp_path / "out"
+        assert main(["--grid", "6", "--preset", "bump", "--dt", "0.01", "--steps", "3",
+                     "--out", str(out)]) == 0
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["halt_reason"] == (
+            f"out of memory at step {halt_step}: Unable to allocate 74.5 GiB")
+        rows = (out / "series.csv").read_text().splitlines()
+        assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(halt_step))
 
     @pytest.mark.parametrize("inputs, key", [
         ("--preset identity --tmax 1e300 --dt 1e-300", "tmax"),

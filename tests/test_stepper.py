@@ -157,6 +157,16 @@ class TestComputeConstants:
         with pytest.raises(ValueError):
             compute_constants(s, p=3.0)
 
+    @pytest.mark.parametrize("c_star, c_m, named", [
+        (1e308, 1.0, "kappa nan, tau_star nan"),  # c_star |domain|^{1/p} overflows
+        (1.0, 1e-320, "tau_star inf"),  # lambda0 / (6 c_m ...) overflows
+    ])
+    def test_rejects_non_finite_constants(self, c_star, c_m, named):
+        s = init_state("identity", make_spec(6))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            with pytest.raises(ValueError, match=f"scheme constants {named} are not finite"):
+                compute_constants(s, c_star=c_star, c_m=c_m)
+
     @pytest.mark.parametrize("p", [4.0, np.inf])
     def test_omega_matches_stencil_norm_of_horizontal_quadratic(self, p):
         # oracle: the stencil W^{3,p} pass over (x1^2 + x2^2)/2, whose gradient
