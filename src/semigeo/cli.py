@@ -462,13 +462,15 @@ def run_experiment(cfg: RunConfig) -> int:
     with _pinned_heap(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spec = GridSpec(dims=cfg.dims, origin=cfg.origin, extents=cfg.extents)
         violations = []
+        label = "preset"
         try:
             # each preset reads its own parameters; None selects its default
             state = init_state(cfg.preset, spec, tilt=cfg.tilt, quad=cfg.quad,
                                delta=cfg.bump_delta, k=cfg.bump_k)
+            label = "constants"
             constants = compute_constants(state, p=cfg.p, c_star=cfg.c_star, c_m=cfg.c_m)
         except ValueError as err:
-            violations.append(f"preset: {err}")
+            violations.append(f"{label}: {err}")
         except MemoryError as err:
             raise UsageError([f"grid: out of memory: {err}"]) from err
         try:

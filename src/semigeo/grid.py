@@ -179,10 +179,26 @@ _jobs = None  # the job queue of the persistent second thread, made on first use
 _start = threading.Lock()  # held while the first caller starts that thread
 
 
-def _work(jobs) -> None:
-    """The second thread: run each job, then put None or its exception in
-    the job's own queue.  It drops the job first: a job holds the caller's
-    arrays, and the thread must not keep them alive until the next one."""
+def _cpu() -> int | None:
+    """The CPU this thread runs on (field 39 of its stat), or None."""
+    try:
+        with open("/proc/thread-self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _work(jobs, cpu: int | None) -> None:
+    """The second thread: leave cpu, its creator's, when another is allowed
+    (a cpuset without load balancing never moves it), then run each job and
+    put None or its exception in the job's own queue.  It drops the job
+    first: a job holds the caller's arrays, and the thread must not keep
+    them alive until the next one."""
+    try:
+        if cpu is not None and (others := os.sched_getaffinity(0) - {cpu}):
+            os.sched_setaffinity(0, others)  # pid 0: this thread alone
+    except (AttributeError, OSError):  # no such call here, or refused: unpinned
+        pass
     while True:
         job, done = jobs.get()
         error = None
@@ -204,14 +220,16 @@ def _row_slabs(fn, n0: int, rows: int | None = None) -> None:
 
     With two workers this thread runs the first half of the ranges and one
     persistent worker thread the second, in a copy of this thread's context
-    (numpy's error state is a context variable).  An exception from either
-    half is raised once both have finished.  fn should call only private
-    helpers (diff, diff2, sum_of_squares, symmetric_components, ...), never a
-    function that the benchmark's tracer wraps (its TRACED set, which holds
-    gradient_values as well as exported functions): the tracer keeps one
-    stack of spans and assumes one thread.  A range may keep its own rows'
-    maxima or minima, which are exact in any order; sums and dot products
-    stay whole on the caller.
+    (numpy's error state is a context variable); the worker pins itself off
+    the CPU of the thread that started it, so the halves use two cores.
+    Where no thread can start, this thread runs every range.  An exception
+    from either half is raised once both have finished.  fn should call only
+    private helpers (diff, diff2, sum_of_squares, symmetric_components, ...),
+    never a function that the benchmark's tracer wraps (its TRACED set, which
+    holds gradient_values as well as exported functions): the tracer keeps
+    one stack of spans and assumes one thread.  A range may keep its own
+    rows' maxima or minima, which are exact in any order; sums and dot
+    products stay whole on the caller.
     """
     global _jobs
     workers = _WORKERS if n0 >= _TWO_WORKER_ROWS else 1
@@ -231,9 +249,14 @@ def _row_slabs(fn, n0: int, rows: int | None = None) -> None:
 
         with _start:
             if _jobs is None:
-                _jobs = queue.SimpleQueue()
-                threading.Thread(target=_work, args=(_jobs,), name="semigeo-rows",
-                                 daemon=True).start()
+                jobs = queue.SimpleQueue()
+                try:
+                    threading.Thread(target=_work, args=(jobs, _cpu()), name="semigeo-rows",
+                                     daemon=True).start()
+                    _jobs = jobs
+                except RuntimeError:  # no thread can be started: every range runs here
+                    split = len(ranges)
+    if split < len(ranges):
         done = queue.SimpleQueue()
         _jobs.put((partial(contextvars.copy_context().run, each, ranges[split:]), done))
     try:

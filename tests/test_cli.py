@@ -427,20 +427,22 @@ class TestRunExperiment:
         assert main(argv + ["--strict"]) == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # halt_step: the step that halts, or the label of the usage error
     @pytest.mark.parametrize("inputs, halt_step", [
         ("--preset bump --dt 1e100", 1),  # the step-1 record's magnitudes overflow
         ("--dt 0.01 --p 2000", 0),  # the step-0 record overflows in mag**p
-        ("--dt 0.01 --extent 1e-200,1,1", None),  # the preset's Hessian overflows
-        ("--dt 0.01 --preset quadratic --quad 1e155,1e155,1e155", None),  # and its magnitude
+        ("--dt 0.01 --extent 1e-200,1,1", "preset"),  # the preset's Hessian overflows
+        # and the magnitude of the Hessian, in the scheme constants
+        ("--dt 0.01 --preset quadratic --quad 1e155,1e155,1e155", "constants"),
     ], ids=["dt-1e100", "p-2000", "extent-1e-200", "quad-1e155"])
     def test_non_finite_values_halt_or_usage_error(self, tmp_path, capsys, inputs,
                                                    halt_step):
         out = tmp_path / "out"
         argv = inputs.split() + ["--grid", "6", "--steps", "2", "--out", str(out)]
-        if halt_step is None:
+        if isinstance(halt_step, str):
             assert main(argv) == 2
             err = capsys.readouterr().err.splitlines()
-            assert err == ["error: preset: field values must be finite"]
+            assert err == [f"error: {halt_step}: field values must be finite"]
             assert not out.exists()
             return
         assert main(argv) == 0
@@ -469,7 +471,7 @@ class TestRunExperiment:
         assert main(inputs.split() + ["--grid", "6", "--preset", "bump", "--dt", "0.01",
                                       "--steps", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: preset: scheme constants {named}"]
+            f"error: constants: scheme constants {named}"]
         assert not out.exists()
 
     # an allocation that fails during set-up; the grid would have to be huge

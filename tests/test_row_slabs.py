@@ -4,6 +4,7 @@ range keeps at most its own rows' maxima, and every sum stays whole on the
 calling thread."""
 
 import json
+import os
 import sys
 import threading
 import time
@@ -36,7 +37,12 @@ from semigeo.grid import (
     jacobian,
     lp_norm,
 )
-from semigeo.stepper import _difference_row_maxima, compute_constants, init_state
+from semigeo.stepper import (
+    _difference_row_maxima,
+    compute_constants,
+    init_state,
+    transport_data,
+)
 
 from conftest import (
     row_major,
@@ -108,6 +114,90 @@ class TestDriver:
         with pytest.raises(ValueError, match="range 5..9" if failing == "worker" else "range 0..5"):
             semigeo.grid._row_slabs(fn, 9)
         assert done == [0 if failing == "worker" else 5]
+
+
+def fresh_worker(monkeypatch, cpu):
+    """The next two-worker call starts a new worker, created on cpu."""
+    monkeypatch.setattr(semigeo.grid, "_jobs", None)
+    monkeypatch.setattr(semigeo.grid, "_cpu", lambda: cpu)
+
+
+def affinities():
+    """Each thread's CPU set, as a job in one two-range _row_slabs call reads it."""
+    seen = {}
+    semigeo.grid._row_slabs(lambda i0, i1: seen.update({on_main(): os.sched_getaffinity(0)}), 2)
+    return seen
+
+
+ALLOWED = set(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else set()
+
+
+class TestPin:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(ALLOWED) < 2,
+                        reason="needs sched_setaffinity and two allowed CPUs")
+    def test_worker_leaves_its_creators_cpu(self, workers, monkeypatch):
+        workers(2)
+        cpu = max(ALLOWED)
+        fresh_worker(monkeypatch, cpu)
+        assert affinities() == {True: ALLOWED, False: ALLOWED - {cpu}}
+        assert os.sched_getaffinity(0) == ALLOWED  # the caller's own is unchanged
+
+    @pytest.mark.skipif(not ALLOWED, reason="needs sched_getaffinity")
+    @pytest.mark.parametrize("failing", ["setaffinity", "reader"])
+    def test_worker_runs_unpinned_when_it_cannot_pin(self, workers, monkeypatch, failing):
+        spec = GridSpec(dims=(9, 6, 7))
+        s = init_state("bump", spec, delta=0.01, k=1)
+        p = reduce_to_darcy(coriolis_transport_data(s, c=linear_coriolis(spec, 0.05)))
+        q = np.random.default_rng(6).standard_normal(spec.dims)
+        hess = s.hess.comp
+        workers(1)
+        want = (apply_operator(p, q), eigmin_symmetric(hess))
+        workers(2)
+        fresh_worker(monkeypatch, None if failing == "reader" else min(ALLOWED))
+        if failing == "setaffinity":
+            def refuse(pid, cpus):
+                raise OSError(22, "Invalid argument")
+
+            monkeypatch.setattr(os, "sched_setaffinity", refuse)
+        assert affinities() == {True: ALLOWED, False: ALLOWED}
+        got = (apply_operator(p, q), eigmin_symmetric(hess))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+def test_worker_that_cannot_start_leaves_every_range_here(monkeypatch):
+    # a pids limit makes Thread.start raise; no later call may wait on a
+    # queue that no thread reads
+    start = threading.Thread.start
+
+    def refuse(thread):
+        if thread.name == "semigeo-rows":
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    spec = GridSpec(dims=(48, 4, 5))
+    s = init_state("bump", spec, delta=0.01, k=1)
+    p = reduce_to_darcy(transport_data(s))
+    q = np.random.default_rng(7).standard_normal(spec.dims)
+    monkeypatch.setattr(semigeo.grid, "_WORKERS", 1)
+    want = (apply_operator(p, q), eigmin_symmetric(s.hess.comp))
+    monkeypatch.setattr(semigeo.grid, "_WORKERS", 2)
+    monkeypatch.setattr(semigeo.grid, "_jobs", None)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    seen, got = [], []
+
+    def caller():
+        for rows in (None, 8):
+            semigeo.grid._row_slabs(
+                lambda i0, i1: seen.append((i0, threading.current_thread() is thread)), 48, rows)
+        got.extend((apply_operator(p, q), eigmin_symmetric(s.hess.comp)))
+
+    thread = threading.Thread(target=caller, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert seen == [(0, True), (24, True)] + [(i0, True) for i0 in range(0, 48, 8)]
+    assert semigeo.grid._jobs is None
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_concurrent_callers_share_the_worker(workers):
