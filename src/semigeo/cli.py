@@ -455,7 +455,9 @@ def run_experiment(cfg: RunConfig) -> int:
     horizon when strict mode is on.  Raises UsageError, before any artifact
     is written, for a preset, scheme constants or Coriolis field the grid
     rejects, a grid too large for memory, an auto-tau horizon that is not
-    positive and finite, or a horizon whose step count is not finite.
+    positive and finite, or a horizon whose step count is not finite; and
+    for an --out or an artifact in it that cannot be written, keeping the
+    artifacts written before it.
     numpy's floating-point warnings are off: a non-finite value ends as a
     usage error or a halt.
     """
@@ -496,10 +498,6 @@ def run_experiment(cfg: RunConfig) -> int:
         model = transport_data if c is None else partial(coriolis_transport_data, c=c)
 
         out = Path(cfg.out_dir)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as err:
-            raise UsageError([f"out: {err}"]) from err
 
         def write_snapshot(j, st, sol):
             if j > 0 and j % cfg.snap_every == 0:
@@ -507,22 +505,26 @@ def run_experiment(cfg: RunConfig) -> int:
                 u = sol.u.comp if sol is not None else np.broadcast_to(0.0, (3,) + spec.dims)
                 write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j)
 
-        result = run(state, scheme, constants=constants, model=model,
-                     observe=write_snapshot if "fields" in cfg.emit else None)
-        if "csv" in cfg.emit:
-            write_series_csv(out / "series.csv", result.records)
+        try:  # an --out, or an artifact in it, that cannot be written
+            out.mkdir(parents=True, exist_ok=True)
+            result = run(state, scheme, constants=constants, model=model,
+                         observe=write_snapshot if "fields" in cfg.emit else None)
+            if "csv" in cfg.emit:
+                write_series_csv(out / "series.csv", result.records)
 
-        scheme_constants = asdict(result.constants)
-        del scheme_constants["norm_w3p0"]  # a norm of the state, in series.csv's step-0 row
-        meta = {
-            "config": cfg.key_values(),
-            "constants": scheme_constants,
-            "epsilon": result.epsilon,
-            "n_steps_requested": result.n_steps,
-            "steps_completed": result.steps_completed,
-            "halt_reason": result.halt_reason,
-        }
-        (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+            scheme_constants = asdict(result.constants)
+            del scheme_constants["norm_w3p0"]  # a norm of the state, in series.csv's step-0 row
+            meta = {
+                "config": cfg.key_values(),
+                "constants": scheme_constants,
+                "epsilon": result.epsilon,
+                "n_steps_requested": result.n_steps,
+                "steps_completed": result.steps_completed,
+                "halt_reason": result.halt_reason,
+            }
+            (out / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        except OSError as err:
+            raise UsageError([f"out: {err}"]) from err
 
         return 1 if cfg.strict and result.halt_reason != "completed" else 0
 

@@ -362,33 +362,34 @@ def gradient(s: ScalarField) -> VectorField:
     return VectorField(s.spec, gradient_values(s.values, s.spec))
 
 
-def hessian(s: ScalarField) -> TensorField:
-    """Symmetric second-derivative tensor.
-
-    Diagonal entries use compact second-derivative stencils; mixed partials
-    are computed once per unordered pair and mirrored, so the output is
-    exactly symmetric.  Runs in one row range per worker (_row_slabs): a
-    range differences its rows and, along axis 0, halo rows on each side,
-    three for diff2, whose one-sided ends read four rows.
-    """
-    h = s.spec.spacing
-    v = s.values
-    out = np.empty((3, 3) + s.spec.dims)
+def _gradient_and_hessian(values: np.ndarray, spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil gradient (3, nx, ny, nz) and symmetric Hessian (3, 3, nx, ny,
+    nz) of raw values, component-major, each first difference taken once:
+    compact second-derivative stencils on the diagonal; each mixed partial a
+    difference of the gradient rows, once per unordered pair and mirrored.
+    One row range per worker (_row_slabs), with three halo rows on each side
+    along axis 0 for diff2, whose one-sided ends read four rows."""
+    h = spec.spacing
+    grad, hess = np.empty((3,) + spec.dims), np.empty((3, 3) + spec.dims)
 
     def rows(i0, i1):
+        for a in range(3):
+            grad[a, i0:i1] = _diff_rows(values, a, h[a], i0, i1)
         lo = max(i0 - 3, 0)
-        out[0, 0, i0:i1] = diff2(v[lo:i1 + 3], 0, h[0])[i0 - lo:i1 - lo]
+        hess[0, 0, i0:i1] = diff2(values[lo:i1 + 3], 0, h[0])[i0 - lo:i1 - lo]
         for a in (1, 2):
-            out[a, a, i0:i1] = diff2(v[i0:i1], a, h[a])
+            hess[a, a, i0:i1] = diff2(values[i0:i1], a, h[a])
         for a in range(2):  # the pairs (0, 1), (0, 2), (1, 2)
-            da = _diff_rows(v, a, h[a], i0, i1)
             for b in range(a + 1, 3):
-                mixed = diff(da, b, h[b])
-                out[a, b, i0:i1] = mixed
-                out[b, a, i0:i1] = mixed
+                hess[a, b, i0:i1] = hess[b, a, i0:i1] = diff(grad[a, i0:i1], b, h[b])
 
-    _row_slabs(rows, s.spec.dims[0])
-    return TensorField(s.spec, out)
+    _row_slabs(rows, spec.dims[0])
+    return grad, hess
+
+
+def hessian(s: ScalarField) -> TensorField:
+    """Symmetric second-derivative tensor (_gradient_and_hessian)."""
+    return TensorField(s.spec, _gradient_and_hessian(s.values, s.spec)[1])
 
 
 def jacobian(v: VectorField) -> TensorField:

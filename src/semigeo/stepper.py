@@ -33,10 +33,9 @@ from .grid import (
     ScalarField,
     TensorField,
     VectorField,
+    _gradient_and_hessian,
     _row_slabs,
     cell_magnitude,
-    gradient,
-    hessian,
     lp_norm,
     min_hessian_eigenvalue,
     sobolev_norm,
@@ -96,8 +95,8 @@ class GeopotentialState:
 def _build_state(values: np.ndarray, spec: GridSpec, time: float) -> GeopotentialState:
     vals = np.asarray(values, dtype=float) - float(np.mean(values))
     p = ScalarField(spec, vals)
-    grad_p = gradient(p)
-    hess = hessian(p)
+    grad, hess = _gradient_and_hessian(p.values, spec)
+    grad_p, hess = VectorField(spec, grad), TensorField(spec, hess)
     lam, cell = min_hessian_eigenvalue(hess)
     return GeopotentialState(
         p=p, time=time, grad_p=grad_p, hess=hess,

@@ -610,6 +610,24 @@ class TestRunExperiment:
         assert len(err) == 1 and err[0].startswith("error: out: ")
         assert (tmp_path / "F").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("blocked, kept", [
+        ("fields_0001.vtk", []),
+        ("series.csv", ["fields_0001.vtk", "fields_0002.vtk"]),
+        ("run.json", ["fields_0001.vtk", "fields_0002.vtk", "series.csv"]),
+    ])
+    def test_artifact_that_cannot_be_written_is_usage_error(self, tmp_path, capsys,
+                                                              blocked, kept):
+        # a directory where an artifact goes: one error line, and the
+        # artifacts written before it stay
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main(["--grid", "6", "--preset", "bump", "--dt", "0.001", "--steps", "2",
+                     "--emit", "csv,fields", "--snap-every", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out: ")
+        assert blocked in err[0] and (out / blocked).is_dir()
+        assert sorted(f.name for f in out.iterdir() if f.is_file()) == kept
+
     def test_sweep_line_cannot_name_sweep(self, tmp_path, capsys):
         # a self-referencing sweep: nothing runs, the line is named
         sweep = tmp_path / "sweep.txt"

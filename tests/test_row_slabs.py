@@ -33,20 +33,24 @@ from semigeo.grid import (
     _third_derivative_magnitude,
     curl,
     eigmin_symmetric,
+    gradient,
     hessian,
     jacobian,
     lp_norm,
+    min_hessian_eigenvalue,
 )
 from semigeo.stepper import (
     _difference_row_maxima,
     compute_constants,
     init_state,
+    step,
     transport_data,
 )
 
 from conftest import (
     row_major,
     row_major_curl,
+    row_major_gradient_values,
     row_major_invert_3x3,
     row_major_matvec,
     whole_grid_darcy_rhs,
@@ -278,6 +282,45 @@ def test_kernels_match_whole_grid_references(dims, n, workers):
         quotient = whole_grid_hoelder_quotient(s.hess, 1.0 - 3.0 / lp)
         assert compute_constants(s, p=lp).m_star == \
             lp_norm(s.hess, np.inf) + quotient + s.lambda_min / 6.0
+
+
+# two non-cubic grids, and 5, 6 and 7 rows: on two workers a range boundary
+# then falls inside the 4-row one-sided ends of the second difference
+STATE_GRIDS = [(41, 12, 10), (5, 7, 9), (6, 5, 7), (7, 6, 5)]
+
+
+@pytest.mark.parametrize("dims", STATE_GRIDS, ids=["x".join(map(str, d)) for d in STATE_GRIDS])
+@pytest.mark.parametrize("n", [1, 2])
+def test_state_derivatives_match_whole_grid_references(dims, n, workers):
+    # one range body takes the gradient and the Hessian; every preset's state,
+    # and the state one step on, against the separate whole-grid passes
+    workers(n)
+    spec = GridSpec(dims=dims, extents=(1.0, 2.0, 0.5))
+    for preset in ("identity", "tilt", "quadratic", "bump"):
+        s0 = init_state(preset, spec)
+        for s in (s0, step(s0, 0.001)[0]):
+            hess = TensorField(spec, whole_grid_hessian(s.p))
+            assert np.array_equal(s.grad_p.comp, gradient(s.p).comp)
+            assert np.array_equal(row_major(s.grad_p), row_major_gradient_values(s.p.values, spec))
+            assert np.array_equal(s.hess.comp, hess.comp)
+            assert (s.lambda_min, s.lambda_argmin) == min_hessian_eigenvalue(hess)
+            assert np.array_equal(hessian(s.p).comp, s.hess.comp)
+
+
+def test_state_takes_each_first_difference_once(workers, monkeypatch):
+    # the mixed partials difference the gradient's rows, not the potential's
+    # again: three first differences per range, one range per worker
+    workers(2)
+    calls = []
+    diff_rows = semigeo.grid._diff_rows
+
+    def counted(a, axis, h, i0, i1):
+        calls.append((axis, i0))
+        return diff_rows(a, axis, h, i0, i1)
+
+    monkeypatch.setattr(semigeo.grid, "_diff_rows", counted)
+    init_state("bump", GridSpec(dims=(48, 12, 10)), delta=0.01, k=1)
+    assert sorted(calls) == [(axis, i0) for axis in range(3) for i0 in (0, 24)]
 
 
 @pytest.mark.parametrize("n", [1, 2])
