@@ -15,7 +15,7 @@ import math
 import shlex
 import sys
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -336,13 +336,11 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def write_series_csv(path, records) -> None:
-    lines = [CSV_COLUMNS]
-    for r in records:
-        cells = (getattr(r, f.name) for f in fields(r))
-        row = [v for cell in cells for v in (cell if isinstance(cell, tuple) else (cell,))]
-        lines.append(",".join(map(_fmt, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_series_csv(f, record) -> None:
+    """Write one record's series.csv row to the open text file f."""
+    cells = (getattr(record, fl.name) for fl in fields(record))
+    row = [v for cell in cells for v in (cell if isinstance(cell, tuple) else (cell,))]
+    f.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_structured_points(path, state, u_comp, step) -> None:
@@ -499,18 +497,22 @@ def run_experiment(cfg: RunConfig) -> int:
 
         out = Path(cfg.out_dir)
 
-        def write_snapshot(j, st, sol):
-            if j > 0 and j % cfg.snap_every == 0:
+        def observe(j, st, sol, record):
+            if record is not None and series is not None:
+                write_series_csv(series, record)
+            if "fields" in cfg.emit and j > 0 and j % cfg.snap_every == 0:
                 # the final state has no solve: a zero view, read one plane at a time
                 u = sol.u.comp if sol is not None else np.broadcast_to(0.0, (3,) + spec.dims)
                 write_structured_points(out / f"fields_{j:04d}.vtk", st, u, j)
 
         try:  # an --out, or an artifact in it, that cannot be written
             out.mkdir(parents=True, exist_ok=True)
-            result = run(state, scheme, constants=constants, model=model,
-                         observe=write_snapshot if "fields" in cfg.emit else None)
-            if "csv" in cfg.emit:
-                write_series_csv(out / "series.csv", result.records)
+            # line-buffered: each row reaches the file as its state is observed
+            with (open(out / "series.csv", "w", buffering=1) if "csv" in cfg.emit
+                  else nullcontext()) as series:
+                if series is not None:
+                    series.write(CSV_COLUMNS + "\n")
+                result = run(state, scheme, constants=constants, model=model, observe=observe)
 
             scheme_constants = asdict(result.constants)
             del scheme_constants["norm_w3p0"]  # a norm of the state, in series.csv's step-0 row

@@ -92,13 +92,9 @@ class GridSpec:
         return x
 
     def corner_radius(self) -> float:
-        """max |y| over the closed box (attained at a corner)."""
-        best = 0.0
-        for cx in (self.origin[0], self.origin[0] + self.extents[0]):
-            for cy in (self.origin[1], self.origin[1] + self.extents[1]):
-                for cz in (self.origin[2], self.origin[2] + self.extents[2]):
-                    best = max(best, float(np.sqrt(cx * cx + cy * cy + cz * cz)))
-        return best
+        """max |y| over the closed box, at the corner farthest from 0 along each axis."""
+        m0, m1, m2 = (max(abs(o), abs(o + e)) for o, e in zip(self.origin, self.extents))
+        return float(np.sqrt(m0 * m0 + m1 * m1 + m2 * m2))
 
 
 class NonFiniteError(ValueError):
@@ -177,6 +173,10 @@ _TWO_WORKER_ROWS = 40
 _SLAB_ROWS = 8
 _jobs = None  # the job queue of the persistent second thread, made on first use
 _start = threading.Lock()  # held while the first caller starts that thread
+# a forked child inherits the queue but not its thread, and maybe the lock held
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        after_in_child=lambda: globals().update(_jobs=None, _start=threading.Lock()))
 
 
 def _cpu() -> int | None:

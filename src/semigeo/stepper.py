@@ -349,7 +349,6 @@ class SchemeConfig:
 class RunResult:
     final_state: GeopotentialState
     steps_completed: int
-    records: list
     halt_reason: str
     constants: SchemeConstants
     epsilon: float
@@ -366,29 +365,33 @@ def run(s0: GeopotentialState, config: SchemeConfig,
     (convexity floor, an EllipticityError, solver failure, non-finite values,
     a MemoryError) are structured outcomes recorded in halt_reason, not
     exceptions.  The model (see step) is assembled once per step; on recorded
-    steps its data is reused for the estimate ratios.  Only the current state is kept:
-    observe(j, state, sol) is called once for every state reached, with the
-    solve taken from that state, or None when no solve followed it.
+    steps its data is reused for the estimate ratios.  Only the current state
+    and its record are kept: observe(j, state, sol, record) is called once for
+    every state reached, in step order, with the solve taken from that state,
+    or None when no solve followed it, and the state's record, or None when
+    the state is off the record_every cadence or its record failed.  A call
+    that raises is not made again; a halt it raises ends the run.
     """
     if constants is None:
         constants = compute_constants(s0)
     epsilon, n_steps = config.schedule(constants)
 
-    records = []
     halt_reason = "completed"
-    state, j = s0, 0
+    state, j, record = s0, 0, None
     at = 0  # the step whose state is being built or recorded
+    called = -1  # the last state observe was called for
     try:
-        records.append(emit_record(s0, None, constants, step=0, norm_w3p=constants.norm_w3p0))
+        record = emit_record(s0, None, constants, step=0, norm_w3p=constants.norm_w3p0)
         while j < n_steps:
             at = j + 1
             new_state, sol, data = step(state, epsilon, model, config.tol, config.maxiter)
             if observe is not None:
-                observe(j, state, sol)
-            state, j = new_state, at
+                called = j
+                observe(j, state, sol, record)
+            state, j, record = new_state, at, None
             if j % config.record_every == 0 or j == n_steps:
                 ratios = verify_estimate(sol.u, data, constants.p)
-                records.append(emit_record(state, sol, constants, step=j, ratios=ratios))
+                record = emit_record(state, sol, constants, step=j, ratios=ratios)
             if config.convexity_floor and state.lambda_min < FLOOR_FRACTION * constants.lambda0:
                 halt_reason = (
                     f"convexity floor reached at step {j}: lambda_min "
@@ -403,10 +406,9 @@ def run(s0: GeopotentialState, config: SchemeConfig,
         halt_reason = f"non-finite values at step {at}: {err}"
     except MemoryError as err:
         halt_reason = f"out of memory at step {at}: {err}"
-    if observe is not None:
-        observe(j, state, None)
+    if observe is not None and called != j:
+        observe(j, state, None, record)
     return RunResult(
-        final_state=state, steps_completed=j, records=records,
-        halt_reason=halt_reason, constants=constants,
-        epsilon=epsilon, n_steps=n_steps,
+        final_state=state, steps_completed=j, halt_reason=halt_reason,
+        constants=constants, epsilon=epsilon, n_steps=n_steps,
     )

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import semigeo.grid
+from semigeo.cli import CSV_COLUMNS, _fmt
 from semigeo.coriolis import PerturbationError
 from semigeo.divcurl import _matvec, apply_operator, invert_3x3
 from semigeo.grid import (
@@ -32,12 +35,19 @@ def workers(monkeypatch):
 
 @pytest.fixture(scope="session")
 def run_states():
-    """run() plus every state it reached, collected through its observer."""
+    """run() plus every state it reached and every record it made, in step
+    order, collected through its observer."""
 
     def run_and_collect(s0, config, **kwargs):
-        states = []
-        res = run(s0, config, observe=lambda j, st, sol: states.append(st), **kwargs)
-        return res, states
+        states, records = [], []
+
+        def observe(j, st, sol, record):
+            states.append(st)
+            if record is not None:
+                records.append(record)
+
+        res = run(s0, config, observe=observe, **kwargs)
+        return res, states, records
 
     return run_and_collect
 
@@ -337,16 +347,37 @@ def row_major_energy(x, t, cell_volume):
     return float(np.sum(density) * cell_volume)
 
 
+def eight_corner_radius(spec):
+    """GridSpec.corner_radius as the largest |y| over the box's 8 corners."""
+    best = 0.0
+    for cx in (spec.origin[0], spec.origin[0] + spec.extents[0]):
+        for cy in (spec.origin[1], spec.origin[1] + spec.extents[1]):
+            for cz in (spec.origin[2], spec.origin[2] + spec.extents[2]):
+                best = max(best, float(np.sqrt(cx * cx + cy * cy + cz * cz)))
+    return best
+
+
 def row_major_bbox(t):
     flat = t.reshape(-1, 3)
     return (tuple(float(v) for v in flat.min(axis=0)),
             tuple(float(v) for v in flat.max(axis=0)))
 
 
-# Whole-file and whole-grid references: the snapshot writer as it built the
-# whole file's text before writing it, and the Coriolis dominance test as it
-# scanned every cell's eigenvalue, kept to check that the plane-by-plane
-# writer writes the same bytes and the guarded scan raises the same error.
+# Whole-file and whole-grid references: the series and snapshot writers as
+# they built the whole file's text before writing it, and the Coriolis
+# dominance test as it scanned every cell's eigenvalue, kept to check that the
+# row-by-row and plane-by-plane writers write the same bytes and the guarded
+# scan raises the same error.
+
+
+def joined_series_csv(records):
+    """The text of series.csv for a run's records, every row joined at once."""
+    lines = [CSV_COLUMNS]
+    for r in records:
+        cells = (getattr(r, f.name) for f in fields(r))
+        row = [v for cell in cells for v in (cell if isinstance(cell, tuple) else (cell,))]
+        lines.append(",".join(map(_fmt, row)))
+    return "\n".join(lines) + "\n"
 
 
 def joined_vtk_text(state, u_comp, step):

@@ -70,7 +70,7 @@ def coriolis_run(run_states):
 
 def test_criterion_1_fixed_point(run_states):
     s = init_state("identity", GRID16)
-    res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=100, record_every=100))
+    res, states, _ = run_states(s, SchemeConfig(epsilon=0.01, n_steps=100, record_every=100))
     x = GRID16.cell_centers()
     dev = max(float(np.max(np.abs(st.grad_p.comp - x))) for st in states)
     report(1, "fixed point", res.halt_reason == "completed" and dev <= 1e-8,
@@ -194,7 +194,8 @@ def test_criterion_5_energy_drift():
 def test_criterion_6_convexity_propagation(run_states):
     s = init_state("bump", GRID16, delta=0.005, k=1)
     constants = compute_constants(s, p=4.0, c_star=1.0, c_m=1.0)
-    res, states = run_states(s, SchemeConfig(n_steps=20, auto_horizon=True), constants=constants)
+    res, states, _ = run_states(s, SchemeConfig(n_steps=20, auto_horizon=True),
+                                constants=constants)
     margins = [st.lambda_min - 0.5 * constants.lambda0 for st in states]
     ok = res.halt_reason == "completed" and min(margins) >= 0.0
     report(6, "convexity propagation", ok,
@@ -204,8 +205,8 @@ def test_criterion_6_convexity_propagation(run_states):
 def test_criterion_7_support_envelope(preset_runs):
     worst = np.inf
     ok = True
-    for name, (res, _) in preset_runs.items():
-        checks = support_bound_check(res.records, GRID16)
+    for _, _, records in preset_runs.values():
+        checks = support_bound_check(records, GRID16)
         ok = ok and all(c.passed for c in checks)
         worst = min(worst, min(c.margin for c in checks))
     report(7, "support envelope", ok, f"smallest margin {worst:.3e}")
@@ -213,7 +214,7 @@ def test_criterion_7_support_envelope(preset_runs):
 
 def test_criterion_8_measure_normalisation(preset_runs):
     mass_err = 0.0
-    for _, states in preset_runs.values():
+    for _, states, _ in preset_runs.values():
         for st in states:
             h = pushforward_histogram(st, bins=12)
             mass_err = max(mass_err, abs(h.total_mass - 1.0))
@@ -230,9 +231,9 @@ def test_criterion_8_measure_normalisation(preset_runs):
 def test_criterion_9_coriolis_consistency(run_states):
     cfg = SchemeConfig(epsilon=0.01, n_steps=20, record_every=20)
     s = init_state("bump", GRID16, delta=0.005, k=1)
-    _, base_states = run_states(s, cfg)
+    _, base_states, _ = run_states(s, cfg)
     unit = constant_coriolis(GRID16, 1.0)
-    _, cor_states = run_states(s, cfg, model=partial(coriolis_transport_data, c=unit))
+    _, cor_states, _ = run_states(s, cfg, model=partial(coriolis_transport_data, c=unit))
     gap = max(
         float(np.max(np.abs(b.p.values - o.p.values)))
         for b, o in zip(base_states, cor_states)

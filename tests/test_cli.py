@@ -25,7 +25,7 @@ from semigeo.divcurl import verify_estimate
 from semigeo.grid import GridSpec
 from semigeo.stepper import SchemeConfig, compute_constants, init_state, run, step
 
-from conftest import joined_vtk_text
+from conftest import joined_series_csv, joined_vtk_text
 
 
 def vtk_block(text, header, count):
@@ -274,8 +274,8 @@ class TestRunExperiment:
                       ["--grid", "6", "--preset", "tilt", "--tilt", "0.1,0,0",
                        "--dt", "0.01", "--steps", "4",
                        "--emit", "csv,fields", "--snap-every", "2"])
-        _, states = run_states(init_state("tilt", GridSpec(dims=(6, 6, 6)), tilt=(0.1, 0.0, 0.0)),
-                               SchemeConfig(epsilon=0.01, n_steps=4))
+        s0 = init_state("tilt", GridSpec(dims=(6, 6, 6)), tilt=(0.1, 0.0, 0.0))
+        _, states, _ = run_states(s0, SchemeConfig(epsilon=0.01, n_steps=4))
         _, sol, _ = step(states[2], 0.01)
         want = sol.u.comp.transpose(3, 2, 1, 0).reshape(-1, 3)
         text = (out / "fields_0002.vtk").read_text().splitlines()
@@ -610,9 +610,52 @@ class TestRunExperiment:
         assert len(err) == 1 and err[0].startswith("error: out: ")
         assert (tmp_path / "F").read_text() == "kept\n"
 
+    def test_rows_survive_a_snapshot_that_cannot_be_written(self, tmp_path, capsys):
+        # a state's row goes out before its snapshot
+        out = tmp_path / "out"
+        (out / "fields_0002.vtk").mkdir(parents=True)
+        assert main(["--grid", "6", "--preset", "bump", "--dt", "0.001", "--steps", "3",
+                     "--emit", "csv,fields", "--snap-every", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: out: ")
+        rows = (out / "series.csv").read_text().splitlines()
+        assert rows[0] == CSV_COLUMNS
+        assert [int(r.split(",")[0]) for r in rows[1:]] == [0, 1, 2]
+
+    @pytest.mark.parametrize("inputs, halt", [
+        ("--grid 8 --dt 0.01 --steps 7 --log-every 3", "completed"),
+        ("--grid 12 --bump-delta 0.025 --dt 0.3 --steps 40 --log-every 5",
+         "convexity floor reached at step 27: "),
+        ("--grid 12 --dt 0.01 --steps 5 --maxiter 1", "solver failed at step 1: "),
+    ], ids=["record-every-3", "convexity-floor", "solver-failure"])
+    def test_series_equals_joined_rows(self, tmp_path, monkeypatch, run_states, inputs, halt):
+        # the rows written as the run goes make the file the whole-list writer
+        # made of the run's records, each record written once, in step order
+        argv = inputs.split() + ["--preset", "bump"]
+        written = []
+        write = semigeo.cli.write_series_csv
+
+        def counted(f, record):
+            written.append(record.step)
+            write(f, record)
+
+        monkeypatch.setattr(semigeo.cli, "write_series_csv", counted)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        cfg = parse_config(argv)
+        res, _, records = run_states(
+            init_state("bump", GridSpec(dims=cfg.dims), delta=cfg.bump_delta),
+            SchemeConfig(epsilon=cfg.dt, n_steps=cfg.steps, maxiter=cfg.maxiter,
+                         record_every=cfg.log_every))
+        assert res.halt_reason.startswith(halt)
+        assert json.loads((out / "run.json").read_text())["halt_reason"] == res.halt_reason
+        assert written == [r.step for r in records] and written == sorted(set(written))
+        assert (out / "series.csv").read_bytes() == joined_series_csv(records).encode()
+
+    # series.csv is opened before the run, and a state's row goes out before its snapshot
     @pytest.mark.parametrize("blocked, kept", [
-        ("fields_0001.vtk", []),
-        ("series.csv", ["fields_0001.vtk", "fields_0002.vtk"]),
+        ("fields_0001.vtk", ["series.csv"]),
+        ("series.csv", []),
         ("run.json", ["fields_0001.vtk", "fields_0002.vtk", "series.csv"]),
     ])
     def test_artifact_that_cannot_be_written_is_usage_error(self, tmp_path, capsys,
@@ -661,7 +704,7 @@ class TestPinnedHeap:
         faults = []
         with semigeo.cli._pinned_heap():
             run(s, SchemeConfig(epsilon=0.001, n_steps=6),
-                observe=lambda j, st, sol: faults.append(
+                observe=lambda j, st, sol, record: faults.append(
                     resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
         assert len(faults) == 7
         assert faults[-1] - faults[2] < 100

@@ -222,9 +222,9 @@ class TestCoriolisRun:
         spec = make_spec(8)
         cfg = SchemeConfig(epsilon=0.01, n_steps=15)
         s = init_state("bump", spec, delta=0.005, k=1)
-        _, base_states = run_states(s, cfg)
+        _, base_states, _ = run_states(s, cfg)
         c = constant_coriolis(spec, 1.0)
-        _, cor_states = run_states(s, cfg, model=partial(coriolis_transport_data, c=c))
+        _, cor_states, _ = run_states(s, cfg, model=partial(coriolis_transport_data, c=c))
         assert len(base_states) == len(cor_states)
         for b, o in zip(base_states, cor_states):
             assert np.max(np.abs(b.p.values - o.p.values)) < 1e-10

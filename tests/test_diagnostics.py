@@ -12,7 +12,7 @@ from semigeo.diagnostics import (
     support_bound_check,
 )
 from semigeo.grid import GridSpec, ScalarField, VectorField, curl
-from semigeo.stepper import SchemeConfig, compute_constants, init_state, run
+from semigeo.stepper import SchemeConfig, compute_constants, init_state
 
 from conftest import row_major, row_major_bbox, row_major_energy
 
@@ -37,7 +37,7 @@ class TestEnergy:
         eps, n = 0.02, 25
         a = np.array([0.12, -0.05, 0.03])
         s = init_state("tilt", make_spec(8), tilt=a)
-        _, states = run_states(s, SchemeConfig(epsilon=eps, n_steps=n))
+        _, states, _ = run_states(s, SchemeConfig(epsilon=eps, n_steps=n))
         ah0 = a[0] ** 2 + a[1] ** 2
         e0 = energy(states[0])
         for j, st in enumerate(states):
@@ -90,17 +90,17 @@ class TestPushforwardHistogram:
 
 
 class TestSupportBound:
-    def test_identity_passes(self):
+    def test_identity_passes(self, run_states):
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10))
-        checks = support_bound_check(res.records, s.spec)
+        _, _, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10))
+        checks = support_bound_check(records, s.spec)
         assert all(c.passed for c in checks)
         assert checks[-1].margin > 0.0
 
-    def test_tilt_growth_below_envelope(self):
+    def test_tilt_growth_below_envelope(self, run_states):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=30))
-        assert all(c.passed for c in support_bound_check(res.records, s.spec))
+        _, _, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=30))
+        assert all(c.passed for c in support_bound_check(records, s.spec))
 
     def test_doctored_trajectory_fails(self):
         # negative control: scaling grad P by e^{2t} outruns the e^t envelope

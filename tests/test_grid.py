@@ -24,6 +24,7 @@ from semigeo.grid import (
 from conftest import (
     all_27_third_derivative_magnitude,
     divergence,
+    eight_corner_radius,
     per_cell,
     row_major,
     row_major_curl,
@@ -69,6 +70,16 @@ class TestGridSpec:
     def test_corner_radius(self):
         spec = make_spec(4, extents=(1.0, 1.0, 1.0))
         assert np.isclose(spec.corner_radius(), np.sqrt(3.0))
+
+    def test_corner_radius_equals_eight_corner_maximum(self):
+        # origins of either sign, tiny, huge or zero
+        rng = np.random.default_rng(11)
+        for _ in range(3000):
+            scale = 10.0 ** rng.uniform(-300, 3, size=(2, 3))
+            origin, extents = rng.standard_normal(3) * scale[0], rng.uniform(0.1, 1, 3) * scale[1]
+            origin[rng.random(3) < 0.2] = 0.0
+            spec = GridSpec((5, 5, 5), origin=tuple(origin), extents=tuple(extents))
+            assert spec.corner_radius() == eight_corner_radius(spec)
 
 
 class TestFieldValidation:

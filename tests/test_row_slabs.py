@@ -5,10 +5,12 @@ calling thread."""
 
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +204,37 @@ def test_worker_that_cannot_start_leaves_every_range_here(monkeypatch):
     assert seen == [(0, True), (24, True)] + [(i0, True) for i0 in range(0, 48, 8)]
     assert semigeo.grid._jobs is None
     assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
+# The parent's first call starts the persistent worker; a forked child's call
+# must start its own, not wait on the parent's queue, which no thread in the
+# child reads.  Forked in a subprocess, so that pytest never forks with threads.
+FORK_SCRIPT = """
+import os, signal
+import semigeo.grid
+from semigeo.grid import GridSpec, eigmin_symmetric
+from semigeo.stepper import init_state
+
+semigeo.grid._WORKERS = 2
+hess = init_state("bump", GridSpec(dims=(48, 8, 8)), delta=0.01, k=1).hess.comp
+eigmin_symmetric(hess)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)  # a child that hangs dies of it
+    eigmin_symmetric(hess)
+    os._exit(0)
+raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "register_at_fork"),
+                    reason="no os.fork here")
+def test_forked_child_starts_its_own_worker():
+    src = Path(semigeo.grid.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", FORK_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_concurrent_callers_share_the_worker(workers):

@@ -296,7 +296,7 @@ class TestSolveIterations:
 class TestRun:
     def test_identity_trajectory_constant(self, run_states):
         s = init_state("identity", make_spec(8))
-        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=20))
+        res, states, _ = run_states(s, SchemeConfig(epsilon=0.01, n_steps=20))
         assert res.halt_reason == "completed"
         assert len(states) == 21
         for st in states:
@@ -315,7 +315,7 @@ class TestRun:
 
     def test_conservativity_every_step(self, run_states):
         s = init_state("bump", make_spec(8), delta=0.005, k=1)
-        _, states = run_states(s, SchemeConfig(epsilon=0.005, n_steps=10))
+        _, states, _ = run_states(s, SchemeConfig(epsilon=0.005, n_steps=10))
         for st in states:
             c = curl(gradient(st.p)).comp[:, 2:-2, 2:-2, 2:-2]
             assert np.max(np.abs(c)) < 1e-12
@@ -337,7 +337,7 @@ class TestRun:
     def test_auto_horizon_runs_to_tau_star(self, run_states):
         s = init_state("bump", make_spec(8), delta=0.005, k=1)
         c = compute_constants(s)
-        res, states = run_states(s, SchemeConfig(n_steps=10, auto_horizon=True), constants=c)
+        res, states, _ = run_states(s, SchemeConfig(n_steps=10, auto_horizon=True), constants=c)
         assert res.final_state.time == pytest.approx(c.tau_star, rel=1e-9)
         assert all(st.lambda_min >= 0.5 * c.lambda0 for st in states)
 
@@ -349,16 +349,21 @@ class TestRun:
             calls.append(st.time)
             return transport_data(st)
 
-        seen = []
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=5), model=model,
-                  observe=lambda j, st, sol: seen.append((j, st.time, sol is None)))
+        seen, records = [], []
+
+        def observe(j, st, sol, record):
+            seen.append((j, st.time, sol is None))
+            records.append(record)
+
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=5), model=model, observe=observe)
         assert res.steps_completed == 5 and len(calls) == 5
         assert [j for j, _, _ in seen] == [0, 1, 2, 3, 4, 5]
         assert [t for _, t, _ in seen[:-1]] == calls
         assert [none for _, _, none in seen] == [False] * 5 + [True]
-        assert all(r.est_ratio_u is not None for r in res.records[1:])
+        assert [r.step for r in records] == [0, 1, 2, 3, 4, 5]
+        assert all(r.est_ratio_u is not None for r in records[1:])
 
-    def test_w3p_norm_once_per_recorded_state(self, monkeypatch):
+    def test_w3p_norm_once_per_recorded_state(self, monkeypatch, run_states):
         # compute_constants takes s0's norm and the step-0 record reuses it:
         # one call for s0, one for the recorded state after step 1
         s = init_state("bump", make_spec(6), delta=0.005, k=1)
@@ -371,15 +376,15 @@ class TestRun:
 
         for module in (semigeo.grid, semigeo.stepper, semigeo.diagnostics):
             monkeypatch.setattr(module, "sobolev_norm", counted)
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=1))
+        res, _, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=1))
         assert len(calls) == 2
-        assert res.records[0].norm_w3p == res.constants.norm_w3p0
+        assert records[0].norm_w3p == res.constants.norm_w3p0
         monkeypatch.undo()
-        assert res.records[0].norm_w3p == emit_record(s, None, res.constants).norm_w3p
+        assert records[0].norm_w3p == emit_record(s, None, res.constants).norm_w3p
 
-    def test_ratios_only_on_recorded_steps(self, monkeypatch):
+    def test_ratios_only_on_recorded_steps(self, monkeypatch, run_states):
         s = init_state("bump", make_spec(6), delta=0.005, k=1)
-        every = run(s, SchemeConfig(epsilon=0.01, n_steps=7))
+        _, _, every = run_states(s, SchemeConfig(epsilon=0.01, n_steps=7))
         calls = []
         verify = semigeo.stepper.verify_estimate
 
@@ -388,62 +393,82 @@ class TestRun:
             return verify(u, data, p)
 
         monkeypatch.setattr(semigeo.stepper, "verify_estimate", counted)
-        sparse = run(s, SchemeConfig(epsilon=0.01, n_steps=7, record_every=3))
-        assert [r.step for r in sparse.records] == [0, 3, 6, 7]
+        _, _, sparse = run_states(s, SchemeConfig(epsilon=0.01, n_steps=7, record_every=3))
+        assert [r.step for r in sparse] == [0, 3, 6, 7]
         assert len(calls) == 3
-        for r in sparse.records[1:]:
-            ref = every.records[r.step]
+        for r in sparse[1:]:
+            ref = every[r.step]
             assert r.est_ratio_u is not None
             assert (r.est_ratio_u, r.est_ratio_au) == (ref.est_ratio_u, ref.est_ratio_au)
 
     def test_memory_bounded_in_steps(self):
         # the observer keeps weak references only; run() must hold no more
-        # than the final state once it returns
+        # than the final state once it returns, and no record
         s = init_state("bump", make_spec(8), delta=0.005, k=1)
-        refs = []
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20),
-                  observe=lambda j, st, sol: refs.append(weakref.ref(st)))
+        refs, record_refs = [], []
+
+        def observe(j, st, sol, record):
+            refs.append(weakref.ref(st))
+            record_refs.append(weakref.ref(record))
+
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20), observe=observe)
         del s
         gc.collect()
         assert res.steps_completed == 20 and len(refs) == 21
         assert all(r() is None for r in refs[:-1])
         assert refs[-1]() is res.final_state
+        assert len(record_refs) == 21 and all(r() is None for r in record_refs)
 
-    def test_solver_failure_is_a_recorded_halt(self):
+    def test_state_whose_observer_halts_is_not_observed_again(self):
+        # a MemoryError from observe is a halt; the call is not repeated
+        # without the solve that was taken from that state
+        s = init_state("bump", make_spec(6), delta=0.005, k=1)
+        calls = []
+
+        def observe(j, st, sol, record):
+            calls.append((j, sol is not None))
+            if j == 2:
+                raise MemoryError("Unable to allocate 74.5 GiB")
+
+        res = run(s, SchemeConfig(epsilon=0.01, n_steps=5), observe=observe)
+        assert res.halt_reason == "out of memory at step 3: Unable to allocate 74.5 GiB"
+        assert res.steps_completed == 2
+        assert calls == [(0, True), (1, True), (2, True)]
+
+    def test_solver_failure_is_a_recorded_halt(self, run_states):
         s = init_state("bump", make_spec(8), delta=0.01)
-        res = run(s, SchemeConfig(epsilon=0.001, n_steps=3, maxiter=2))
+        res, _, records = run_states(s, SchemeConfig(epsilon=0.001, n_steps=3, maxiter=2))
         assert res.halt_reason.startswith("solver failed at step 1: ")
         assert "did not converge in 2 iterations" in res.halt_reason
         assert res.steps_completed == 0 and res.final_state is s
-        assert [r.step for r in res.records] == [0]
+        assert [r.step for r in records] == [0]
 
-    def test_records_cadence(self):
+    def test_records_cadence(self, run_states):
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10, record_every=3))
-        assert [r.step for r in res.records] == [0, 3, 6, 9, 10]
-        times = [r.time for r in res.records]
+        _, _, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10, record_every=3))
+        assert [r.step for r in records] == [0, 3, 6, 9, 10]
+        times = [r.time for r in records]
         assert times == sorted(times)
 
 
 class TestGrowthBound:
-    def test_identity_passes(self):
+    def test_identity_passes(self, run_states):
         s = init_state("identity", make_spec(8))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=10))
-        checks = growth_bound_check(res.records, res.constants, res.epsilon)
+        res, _, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=10))
+        checks = growth_bound_check(records, res.constants, res.epsilon)
         assert all(c.passed for c in checks)
 
-    def test_tilt_passes(self):
+    def test_tilt_passes(self, run_states):
         s = init_state("tilt", make_spec(8), tilt=(0.1, 0.0, 0.05))
-        res = run(s, SchemeConfig(epsilon=0.01, n_steps=20))
-        checks = growth_bound_check(res.records, res.constants, res.epsilon)
+        res, _, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=20))
+        checks = growth_bound_check(records, res.constants, res.epsilon)
         assert all(c.passed for c in checks)
 
     def test_doctored_norms_fail(self, run_states):
         # negative control: doubling the potential mid-trajectory breaks the bound
         s = init_state("identity", make_spec(8))
-        res, states = run_states(s, SchemeConfig(epsilon=0.01, n_steps=6))
+        res, states, records = run_states(s, SchemeConfig(epsilon=0.01, n_steps=6))
         doctored = init_state(ScalarField(states[3].spec, 2.0 * states[3].p.values))
-        records = list(res.records)
         records[3] = emit_record(doctored, None, res.constants, step=3)
         checks = growth_bound_check(records, res.constants, res.epsilon)
         assert not checks[3].passed
